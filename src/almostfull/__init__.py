@@ -22,12 +22,9 @@ from .aefunc import (AEFunction, MeasurableSet, Summable,
                      ae_zero_of_null_integral, certify_l1_gap,
                      char_of_interval_union, countable_set_intersection,
                      full_measure_to_pps, integral_uniqueness_check,
-                     lebesgue_integral, limit_of_summables, measure,
-                     point_in_positive_set, positive_point, summable_min)
-from .bridge import (Bridge, GammaInfo, NetIndex, RiemannCertificate,
-                     bridge_for, build_delta, build_gamma, convert_to_lebesgue,
-                     equality_region_check, mean_cauchy_probe, net_function,
-                     sample_zeta, theta_membership)
+                     limit_of_summables, point_in_positive_set, positive_point,
+                     summable_min)
+from .bridge import Bridge, GammaInfo, NetIndex, RiemannCertificate, bridge_for
 
 __version__ = "0.1.0"
 
@@ -37,15 +34,12 @@ __all__ = [
     "IntervalUnion", "MeasurableSet", "NetIndex", "Polygonal", "Rational",
     "RealizedPoint", "RegularSeq", "RegularityError", "RiemannCertificate",
     "Summable", "TailProfile", "Verdict", "ae_zero_of_null_integral",
-    "bridge_for", "build_delta", "build_gamma", "ceil_log2", "certify_l1_gap",
-    "char_of_interval_union", "convert_to_lebesgue",
-    "countable_set_intersection", "decay_bound", "equality_region_check",
-    "from_ratstr", "full_measure_to_pps", "geometric_decay",
-    "indicator_approx", "integral_uniqueness_check", "intersect_countable",
-    "intersect_pair", "lebesgue_integral", "limit_of_summables",
-    "mean_cauchy_probe", "measure", "net_function", "point_avoiding_seq",
-    "point_in_positive_set", "point_in_pps", "positive_point", "pow2",
-    "rat_approx", "realize_point", "row_witness", "sample_zeta",
-    "soft_compare", "step_function", "sublevel", "summable_min",
-    "theta_membership", "to_ratstr", "union_indicator", "witness_precision",
+    "bridge_for", "ceil_log2", "certify_l1_gap", "char_of_interval_union",
+    "countable_set_intersection", "decay_bound", "from_ratstr",
+    "full_measure_to_pps", "geometric_decay", "indicator_approx",
+    "integral_uniqueness_check", "intersect_countable", "intersect_pair",
+    "limit_of_summables", "point_avoiding_seq", "point_in_positive_set",
+    "point_in_pps", "positive_point", "pow2", "rat_approx", "realize_point",
+    "row_witness", "soft_compare", "step_function", "sublevel", "summable_min",
+    "to_ratstr", "union_indicator", "witness_precision",
 ]

@@ -17,7 +17,8 @@ from threading import RLock
 from typing import Callable, Optional, Sequence
 
 from .errors import BudgetExhausted, CertificationError
-from .exact import CReal, budget_cap, ceil_log2, pow2, to_ratstr
+from .exact import (CReal, budget_cap, ceil_log2, clamp01, pow2,
+                    refine_until_decided, to_ratstr)
 from .polygonal import (IntervalUnion, Polygonal, l1_distance, l1_upper,
                         union_indicator)
 from .regular import (DomainWitness, RegularSeq, geometric_decay,
@@ -151,32 +152,31 @@ class Summable:
         return Summable(base, lambda n: self.term(n + shift) * c,
                         agreement=self.agreement, name=base.name)
 
-    def _combine(self, other: "Summable", poly_op, creal_op, label: str) -> "Summable":
+    def _combine(self, other: "Summable", op, label: str) -> "Summable":
+        """Pointwise ``op``, which acts alike on approximants and on reals."""
         dom = intersect_pair(self.domain, other.domain)
 
         def evaluator(w: DomainWitness) -> CReal:
             a = self.base.evaluator(row_witness(w, 0))
             b = other.base.evaluator(row_witness(w, 1))
-            return creal_op(a, b)
+            return op(a, b)
 
         name = f"({self.name}{label}{other.name})"
         return Summable(AEFunction(dom, evaluator, name),
-                        lambda n: poly_op(self.term(n + 2), other.term(n + 2)),
+                        lambda n: op(self.term(n + 2), other.term(n + 2)),
                         agreement=dom, name=name)
 
     def __add__(self, other: "Summable") -> "Summable":
-        return self._combine(other, lambda a, b: a + b, lambda a, b: a + b, "+")
+        return self._combine(other, lambda a, b: a + b, "+")
 
     def __sub__(self, other: "Summable") -> "Summable":
-        return self._combine(other, lambda a, b: a - b, lambda a, b: a - b, "-")
+        return self._combine(other, lambda a, b: a - b, "-")
 
     def min_with(self, other: "Summable") -> "Summable":
-        return self._combine(other, lambda a, b: a.min_with(b),
-                             lambda a, b: a.min_with(b), "&")
+        return self._combine(other, lambda a, b: a.min_with(b), "&")
 
     def max_with(self, other: "Summable") -> "Summable":
-        return self._combine(other, lambda a, b: a.max_with(b),
-                             lambda a, b: a.max_with(b), "|")
+        return self._combine(other, lambda a, b: a.max_with(b), "|")
 
     def abs(self) -> "Summable":
         base = AEFunction(self.domain, lambda w: abs(self.base.evaluator(w)),
@@ -204,11 +204,6 @@ class Summable:
         c = Fraction(c)
         return Summable.from_polygonal(Polygonal.constant(c),
                                        name=name or f"const({c})")
-
-
-def lebesgue_integral(f: Summable, p: int) -> Fraction:
-    """Integral of a summable function, certified to 2**-p."""
-    return f.integral(p)
 
 
 def integral_uniqueness_check(f1: Summable, f2: Summable, p: int) -> bool:
@@ -295,10 +290,6 @@ class MeasurableSet:
         return abs(v) <= Fraction(1, 8) or abs(v - 1) <= Fraction(1, 8)
 
 
-def measure(x: MeasurableSet, p: int) -> Fraction:
-    return x.measure(p)
-
-
 def char_of_interval_union(union: IntervalUnion,
                            extra_domain: Optional[RegularSeq] = None,
                            name: str = "") -> MeasurableSet:
@@ -321,36 +312,18 @@ def char_of_interval_union(union: IntervalUnion,
         dom = intersect_pair(avoid, extra_domain, name=f"dom[{name}]")
     components = union.ivs
 
+    def membership(xt: Fraction, r: Fraction) -> Optional[Fraction]:
+        lo, hi = max(ZERO, xt - r), min(ONE, xt + r)
+        if any(a <= lo and hi <= b for a, b in components):
+            return ONE
+        if all(hi <= a or b <= lo for a, b in components):
+            return ZERO
+        return None
+
     def evaluator(w: DomainWitness) -> CReal:
-        state: list = []
-
-        def decide() -> Fraction:
-            if state:
-                return state[0]
-            cap = budget_cap(4096)
-            p = 3
-            while p <= cap:
-                xt = w.x.approx(p)
-                if xt < 0:
-                    xt = ZERO
-                elif xt > 1:
-                    xt = ONE
-                r = pow2(-p)
-                lo, hi = max(ZERO, xt - r), min(ONE, xt + r)
-                inside = any(a <= lo and hi <= b for a, b in components)
-                if inside:
-                    state.append(ONE)
-                    return ONE
-                outside = all(hi <= a or b <= lo for a, b in components)
-                if outside:
-                    state.append(ZERO)
-                    return ZERO
-                p += 2
-            raise BudgetExhausted(
-                "membership decision exceeded the budget; witness may be invalid",
-                needed=cap)
-
-        return CReal(lambda p: decide())
+        return refine_until_decided(
+            w.x, 3, 2, membership,
+            "membership decision exceeded the budget; witness may be invalid")
 
     base = AEFunction(dom, evaluator, name=f"chi[{name}]")
     characteristic = Summable(base, lambda k: union_indicator(union, k),
@@ -373,10 +346,9 @@ def point_in_positive_set(x: MeasurableSet, prefix: int = 24,
         prof = x.characteristic.domain.profile_at(candidate)
         if prof is not None:
             w = DomainWitness(x=CReal.from_rational(candidate), gamma=prof.total)
-            if x.dichotomy_check(w):
-                value = x.characteristic.eval(w).approx(3)
-                if abs(value - 1) <= Fraction(1, 8):
-                    return w
+            value = x.characteristic.eval(w).approx(3)
+            if abs(value - 1) <= Fraction(1, 8):
+                return w
     w = positive_point(x.characteristic, prefix)
     value = x.characteristic.eval(w).approx(3)
     if abs(value - 1) > Fraction(1, 8):
@@ -472,12 +444,7 @@ def limit_of_summables(seq: Callable[[int], Summable], certify: bool = True,
             h = diag(j)
             lam = h.lipschitz()
             q = p + 1 + (ceil_log2(lam) if lam > 1 else 0)
-            xt = w.x.approx(q)
-            if xt < 0:
-                xt = ZERO
-            elif xt > 1:
-                xt = ONE
-            return h.eval(xt)
+            return h.eval(clamp01(w.x.approx(q)))
 
         return CReal(fn)
 

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from threading import RLock
 from typing import Callable, Optional
-from weakref import WeakKeyDictionary
 
 from .aefunc import (AEFunction, MeasurableSet, Summable, certify_l1_gap,
                      char_of_interval_union, limit_of_summables,
                      point_in_positive_set)
 from .errors import BudgetExhausted, CertificationError
-from .exact import CReal, budget_cap, pow2, rat_approx, to_ratstr
+from .exact import (CReal, clamp01, pow2, rat_approx, refine_until_decided,
+                    to_ratstr)
 from .polygonal import (IntervalUnion, Polygonal, l1_distance, l1_upper,
                         step_function, sublevel)
 from .regular import (DomainWitness, RegularSeq, intersect_pair,
@@ -277,33 +277,16 @@ class Bridge:
             else RegularSeq.zero()
         dom = intersect_pair(avoid, self.f.domain, name=f"netdom({m})")
 
+        def locate(xt: Fraction, r: Fraction) -> Optional[Fraction]:
+            idx = min(int(xt * (1 << m)), (1 << m) - 1)
+            lo = idx * cell
+            if lo + r < xt < lo + cell - r:
+                return coeffs[idx]
+            return None
+
         def evaluator(wit: DomainWitness) -> CReal:
-            state: list = []
-
-            def decide() -> Fraction:
-                if state:
-                    return state[0]
-                cap = budget_cap(4096)
-                p = m + 2
-                while p <= cap:
-                    xt = wit.x.approx(p)
-                    if xt < 0:
-                        xt = ZERO
-                    elif xt > 1:
-                        xt = ONE
-                    r = pow2(-p)
-                    idx = int(xt * (1 << m))
-                    if idx >= (1 << m):
-                        idx = (1 << m) - 1
-                    lo = idx * cell
-                    hi = lo + cell
-                    if lo + r < xt < hi - r:
-                        state.append(coeffs[idx])
-                        return coeffs[idx]
-                    p += 2
-                raise BudgetExhausted("cell location exceeded the budget", needed=cap)
-
-            return CReal(lambda q: decide())
+            return refine_until_decided(wit.x, m + 2, 2, locate,
+                                        "cell location exceeded the budget")
 
         base = AEFunction(dom, evaluator, name=f"net({self.name},m={m})")
         out = Summable(base, lambda j: step_function(coeffs, m, j),
@@ -311,10 +294,6 @@ class Bridge:
         out.coefficient_sum = sum(coeffs, ZERO) * cell
         with self._lock:
             return self._nets.setdefault(alpha, out)
-
-    def coefficient_sum(self, alpha: NetIndex) -> Fraction:
-        """Exact sampled sum ``sum_l f~(zeta_l) * 2**-level``."""
-        return self.net(alpha).coefficient_sum
 
     # -- probing and conversion ------------------------------------------------------
 
@@ -449,11 +428,7 @@ class Bridge:
                 wit = row_witness(point_in_positive_set(ms, prefix=2 * m_s + 8), 1)
                 xi = None
             f_val = self.f.eval(wit).approx(q + 2)
-            x_for_g = xi if xi is not None else wit.x.approx(q + m_s + 8)
-            if x_for_g < 0:
-                x_for_g = ZERO
-            elif x_for_g > 1:
-                x_for_g = ONE
+            x_for_g = clamp01(xi if xi is not None else wit.x.approx(q + m_s + 8))
             g_val = g_grid.eval(x_for_g)
             diff = abs(f_val - g_val)
             ok = diff <= pow2(-q)
@@ -492,49 +467,17 @@ def _cell_trapezoid(lo: Fraction, hi: Fraction) -> Polygonal:
     return Polygonal(tuple(xs), tuple(vs))
 
 
-_BRIDGES: "WeakKeyDictionary[AEFunction, Bridge]" = WeakKeyDictionary()
 _BRIDGE_LOCK = RLock()
 
 
 def bridge_for(f: AEFunction) -> Bridge:
-    """The write-once bridge cache for a function."""
+    """The bridge of a function, built once and kept on the function itself.
+
+    It is stored in f's instance ``__dict__``, outside the dataclass fields,
+    so it leaves f's equality and hash alone and is freed together with f.
+    """
     with _BRIDGE_LOCK:
-        got = _BRIDGES.get(f)
+        got = f.__dict__.get("_bridge")
         if got is None:
-            got = _BRIDGES[f] = Bridge(f)
+            got = f.__dict__["_bridge"] = Bridge(f)
         return got
-
-
-def build_delta(f: AEFunction, n: int) -> MeasurableSet:
-    return bridge_for(f).delta(n)
-
-
-def build_gamma(f: AEFunction, n: int, prefix: Optional[int] = None) -> GammaInfo:
-    return bridge_for(f).gamma(n, prefix)
-
-
-def theta_membership(f: AEFunction, k: int, m: int, n: int) -> bool:
-    return bridge_for(f).theta(k, m, n)
-
-
-def sample_zeta(f: AEFunction, k: int, m: int, n: int) -> DomainWitness:
-    return bridge_for(f).zeta(k, m, n)
-
-
-def net_function(f: AEFunction, alpha: NetIndex) -> Summable:
-    return bridge_for(f).net(alpha)
-
-
-def mean_cauchy_probe(f: AEFunction, alpha: NetIndex, trials: int,
-                      precision: int = 10, seed: int = 0) -> dict:
-    return bridge_for(f).cauchy_probe(alpha, trials, precision, seed)
-
-
-def convert_to_lebesgue(f: AEFunction, cert: RiemannCertificate,
-                        name: str = "") -> Summable:
-    return bridge_for(f).to_lebesgue(cert, name)
-
-
-def equality_region_check(f: AEFunction, g: Summable, n: int, samples: int,
-                          q: int = 10, seed: int = 0) -> dict:
-    return bridge_for(f).equality_check(g, n, samples, q, seed)

@@ -15,9 +15,8 @@ from functools import lru_cache
 from typing import Optional
 
 from .aefunc import AEFunction, Summable, char_of_interval_union
-from .bridge import Bridge, NetIndex, RiemannCertificate
-from .errors import BudgetExhausted
-from .exact import CReal, HALF, budget_cap, ceil_log2, pow2
+from .bridge import Bridge, NetIndex, RiemannCertificate, bridge_for
+from .exact import CReal, HALF, ceil_log2, clamp01, pow2, refine_until_decided
 from .polygonal import IntervalUnion, Polygonal
 from .regular import DomainWitness, RegularSeq, TailProfile
 
@@ -58,7 +57,7 @@ def _constant_certificate(level: int) -> RiemannCertificate:
     return RiemannCertificate(modulus=lambda eps: alpha)
 
 
-def _poly_entry(name: str, h: Polygonal, description: str) -> CatalogEntry:
+def poly_entry(name: str, h: Polygonal, description: str) -> CatalogEntry:
     s = Summable.from_polygonal(h, name=name)
     return CatalogEntry(
         name=name, description=description, function=s.base, summable=s,
@@ -77,11 +76,7 @@ def _square_summable(name: str = "square") -> Summable:
 
     def evaluator(w: DomainWitness) -> CReal:
         def fn(p: int) -> Fraction:
-            x = w.x.approx(p + 2)
-            if x < 0:
-                x = ZERO
-            elif x > 1:
-                x = ONE
+            x = clamp01(w.x.approx(p + 2))
             return x * x
 
         return CReal(fn)
@@ -131,27 +126,16 @@ def _step_summable(name: str = "ae-step") -> Summable:
 
     domain = RegularSeq(dom_term, name="step-dom", profile=dom_profile)
 
+    def side(xt: Fraction, r: Fraction) -> Optional[Fraction]:
+        if xt + r < HALF:
+            return ZERO
+        if xt - r > HALF:
+            return ONE
+        return None
+
     def evaluator(w: DomainWitness) -> CReal:
-        state: list = []
-
-        def decide() -> Fraction:
-            if state:
-                return state[0]
-            cap = budget_cap(4096)
-            p = 2
-            while p <= cap:
-                xt = w.x.approx(p)
-                r = pow2(-p)
-                if xt + r < HALF:
-                    state.append(ZERO)
-                    return ZERO
-                if xt - r > HALF:
-                    state.append(ONE)
-                    return ONE
-                p += 1
-            raise BudgetExhausted("step side undecided within budget", needed=cap)
-
-        return CReal(lambda p: decide())
+        return refine_until_decided(w.x, 2, 1, side,
+                                    "step side undecided within budget")
 
     def ramp_width(n: int) -> Fraction:
         return pow2(-(n + 2))
@@ -177,11 +161,7 @@ def _osc_function(scale_exp: int = 24, name: str = "osc") -> AEFunction:
 
     def evaluator(w: DomainWitness) -> CReal:
         def fn(p: int) -> Fraction:
-            x = w.x.approx(p + scale_exp + 1)
-            if x < 0:
-                x = ZERO
-            elif x > 1:
-                x = ONE
+            x = clamp01(w.x.approx(p + scale_exp + 1))
             y = x * freq
             u = y - 2 * (y.numerator // (2 * y.denominator))
             return u if u <= 1 else 2 - u
@@ -234,11 +214,11 @@ def get_entry(name: str) -> CatalogEntry:
             certificate=_constant_certificate(1),
             expected=ONE, expected_note="constant value")
     if name == "tent":
-        return _poly_entry("tent", Polygonal.tent(HALF),
-                           "unit tent peaking at the midpoint")
+        return poly_entry("tent", Polygonal.tent(HALF),
+                          "unit tent peaking at the midpoint")
     if name == "three-piece":
-        return _poly_entry("three-piece", THREE_PIECE,
-                           "a three-segment profile with mixed slopes")
+        return poly_entry("three-piece", THREE_PIECE,
+                          "a three-segment profile with mixed slopes")
     if name == "square":
         s = _square_summable()
         return CatalogEntry(
@@ -277,11 +257,6 @@ CATALOG_NAMES = ("identity", "constant", "tent", "three-piece", "square",
                  "ae-step", "char-upper-half", "osc")
 
 
-def entries() -> list:
-    return [get_entry(n) for n in CATALOG_NAMES]
-
-
-@lru_cache(maxsize=None)
 def get_bridge(name: str) -> Bridge:
-    entry = get_entry(name)
-    return Bridge(entry.function, name=entry.name)
+    """The bridge of a catalog entry's function, shared like the entry."""
+    return bridge_for(get_entry(name).function)

@@ -10,13 +10,13 @@ every bounded search.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
 
-from .aefunc import Summable
 from .bridge import NetIndex, bridge_for
-from .catalog import CATALOG_NAMES, get_bridge, get_entry
+from .catalog import CATALOG_NAMES, get_entry, poly_entry
 from .errors import BudgetExhausted, CertificationError, RegularityError
 from .exact import pow2, to_ratstr
 from .polygonal import Polygonal
@@ -30,59 +30,64 @@ EXIT_CERT = 3
 EXIT_BUDGET = 4
 
 
+class InputError(Exception):
+    """Malformed command-line input, reported with exit code 2."""
+
+
 def _load_entry(name: str):
-    if name.startswith("poly:"):
-        path = Path(name[5:])
-        if not path.exists():
-            raise KeyError(name)
+    if not name.startswith("poly:"):
+        try:
+            return get_entry(name)
+        except KeyError:
+            raise InputError(f"unknown function: {name}") from None
+    path = Path(name[5:])
+    if not path.exists():
+        raise InputError(f"unknown function: {name}")
+    try:
         h = Polygonal.from_json(path.read_text())
-        s = Summable.from_polygonal(h, name=path.stem)
-        from .catalog import CatalogEntry, _lipschitz_certificate
-        return CatalogEntry(
-            name=path.stem, description=f"polygonal loaded from {path}",
-            function=s.base, summable=s,
-            certificate=_lipschitz_certificate(h.lipschitz()),
-            expected=h.integral(), expected_note="exact trapezoid integral")
-    return get_entry(name)
+    except (OSError, ValueError, TypeError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed polygonal {path}: {exc}") from None
+    return poly_entry(path.stem, h, f"polygonal loaded from {path}")
+
+
+def _check_budget() -> None:
+    raw = os.environ.get("ALMOSTFULL_BUDGET")
+    if raw is not None and not (raw.strip().isdecimal() and int(raw) >= 1):
+        raise InputError(f"ALMOSTFULL_BUDGET must be a positive integer, got {raw!r}")
+
+
+def nonnegative(text: str) -> int:
+    """Argument type of precision exponents."""
+    p = int(text)
+    if p < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {p}")
+    return p
 
 
 def cmd_integrate(args) -> int:
-    try:
-        entry = _load_entry(args.function)
-    except KeyError:
-        print(f"unknown function: {args.function}", file=sys.stderr)
-        return EXIT_INPUT
+    entry = _load_entry(args.function)
     p = args.precision
     started = time.monotonic()
     report = RunReport(
         command="integrate",
         inputs={"function": entry.name, "precision": p, "method": args.method},
     )
-    try:
-        if args.method == "lebesgue":
-            if entry.summable is None:
-                print(f"entry {entry.name} has no summable representation",
-                      file=sys.stderr)
-                return EXIT_CERT
-            value = entry.summable.integral(p)
-            report.prefix_depths["approximation_index"] = p + 2
-        else:
-            if entry.certificate is None:
-                print(f"entry {entry.name} carries no certificate for the net route",
-                      file=sys.stderr)
-                return EXIT_CERT
-            bridge = get_bridge(entry.name) if entry.name in CATALOG_NAMES \
-                else bridge_for(entry.function)
-            g = bridge.to_lebesgue(entry.certificate)
-            value = g.integral(p)
-            report.prefix_depths["approximation_index"] = p + 2
-            report.prefix_depths["net_sequence_index"] = p + 4
-    except BudgetExhausted as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (CertificationError, RegularityError) as exc:
-        print(f"certification failure: {exc}", file=sys.stderr)
-        return EXIT_CERT
+    if args.method == "lebesgue":
+        if entry.summable is None:
+            print(f"entry {entry.name} has no summable representation",
+                  file=sys.stderr)
+            return EXIT_CERT
+        value = entry.summable.integral(p)
+        report.prefix_depths["approximation_index"] = p + 2
+    else:
+        if entry.certificate is None:
+            print(f"entry {entry.name} carries no certificate for the net route",
+                  file=sys.stderr)
+            return EXIT_CERT
+        g = bridge_for(entry.function).to_lebesgue(entry.certificate)
+        value = g.integral(p)
+        report.prefix_depths["approximation_index"] = p + 2
+        report.prefix_depths["net_sequence_index"] = p + 4
     report.results["value"] = to_ratstr(value)
     report.error_bounds["value"] = to_ratstr(pow2(-p))
     if entry.expected is not None:
@@ -101,38 +106,25 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_net_table(args) -> int:
-    try:
-        entry = _load_entry(args.function)
-    except KeyError:
-        print(f"unknown function: {args.function}", file=sys.stderr)
-        return EXIT_INPUT
+    entry = _load_entry(args.function)
     if args.m_min < 1 or args.m_max < args.m_min:
-        print("need 1 <= m-min <= m-max", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("need 1 <= m-min <= m-max")
     if entry.certificate is None and entry.summable is None:
         print(f"entry {entry.name} supports no canonical net", file=sys.stderr)
         return EXIT_CERT
     p = args.precision
-    bridge = get_bridge(entry.name) if entry.name in CATALOG_NAMES \
-        else bridge_for(entry.function)
+    bridge = bridge_for(entry.function)
     rows = []
     prev = None
-    try:
-        for m in range(args.m_min, args.m_max + 1):
-            net = bridge.net(NetIndex.canonical(m))
-            value = net.integral(p)
-            if prev is None:
-                diff = ""
-            else:
-                diff = to_ratstr((net - prev).abs().integral(p))
-            rows.append([m, to_ratstr(value), diff])
-            prev = net
-    except BudgetExhausted as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (CertificationError, RegularityError) as exc:
-        print(f"certification failure: {exc}", file=sys.stderr)
-        return EXIT_CERT
+    for m in range(args.m_min, args.m_max + 1):
+        net = bridge.net(NetIndex.canonical(m))
+        value = net.integral(p)
+        if prev is None:
+            diff = ""
+        else:
+            diff = to_ratstr((net - prev).abs().integral(p))
+        rows.append([m, to_ratstr(value), diff])
+        prev = net
     if args.format == "csv":
         sys.stdout.write(rows_to_csv(["m", "integral", "l1_step"], rows))
     else:
@@ -151,17 +143,8 @@ def cmd_net_table(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.suite not in SUITES:
-        print(f"unknown suite: {args.suite}; choose from {sorted(SUITES)}",
-              file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        checks = run_suite(args.suite, args.seed, corrupt=args.corrupt_catalog)
-    except BudgetExhausted as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (CertificationError, RegularityError) as exc:
-        print(f"certification failure: {exc}", file=sys.stderr)
-        return EXIT_CERT
+        raise InputError(f"unknown suite: {args.suite}; choose from {sorted(SUITES)}")
+    checks = run_suite(args.suite, args.seed, corrupt=args.corrupt_catalog)
     ok = all(c.ok for c in checks)
     report = RunReport(
         command="verify",
@@ -186,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_int = sub.add_parser("integrate", help="integrate a catalog function")
     p_int.add_argument("--function", required=True,
                        help=f"one of {', '.join(CATALOG_NAMES)} or poly:PATH")
-    p_int.add_argument("--precision", type=int, default=10,
+    p_int.add_argument("--precision", type=nonnegative, default=10,
                        help="precision exponent p; result certified to 2^-p")
     p_int.add_argument("--method", choices=("lebesgue", "riemann-net"),
                        default="lebesgue")
@@ -201,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_net.add_argument("--function", required=True)
     p_net.add_argument("--m-min", type=int, required=True)
     p_net.add_argument("--m-max", type=int, required=True)
-    p_net.add_argument("--precision", type=int, default=10)
+    p_net.add_argument("--precision", type=nonnegative, default=10)
     p_net.add_argument("--json", dest="format", action="store_const",
                        const="json", default="json")
     p_net.add_argument("--csv", dest="format", action="store_const", const="csv")
@@ -223,7 +206,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
-    return args.fn(args)
+    try:
+        _check_budget()
+        return args.fn(args)
+    except InputError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INPUT
+    except BudgetExhausted as exc:
+        print(f"budget exhausted: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except (CertificationError, RegularityError) as exc:
+        print(f"certification failure: {exc}", file=sys.stderr)
+        return EXIT_CERT
 
 
 def main_entry() -> None:

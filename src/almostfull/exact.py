@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from threading import RLock
-from typing import Callable
+from typing import Callable, Optional
+
+from .errors import BudgetExhausted
 
 Rational = Fraction
 
@@ -49,6 +51,8 @@ def to_ratstr(q: Fraction) -> str:
 
 
 def from_ratstr(s: str) -> Fraction:
+    if not isinstance(s, str):
+        raise TypeError(f"a rational is written as a \"p/q\" string, not {s!r}")
     num, _, den = s.partition("/")
     if den:
         return Fraction(int(num), int(den))
@@ -65,6 +69,15 @@ def budget_cap(default: int) -> int:
     if raw is None:
         return default
     return max(1, int(raw))
+
+
+def clamp01(q: Fraction) -> Fraction:
+    """The nearest point of [0, 1] to q."""
+    if q < 0:
+        return ZERO
+    if q > 1:
+        return ONE
+    return q
 
 
 class CReal:
@@ -133,6 +146,34 @@ def rat_approx(x: CReal, p: int) -> Fraction:
     if p < 0:
         raise ValueError("precision exponent must be >= 0")
     return x.approx(p)
+
+
+def refine_until_decided(x: CReal, start: int, step: int,
+                         decide: Callable[[Fraction, Fraction], Optional[Fraction]],
+                         message: str) -> CReal:
+    """A real whose value is settled by locating a point x closely enough.
+
+    Approximates x at precisions ``start, start + step, ...`` and hands each
+    approximant (clamped to [0, 1]) and its radius ``2**-p`` to ``decide``,
+    which returns the value once the answer is certain and None while it is
+    not.  The decided value is computed once and answers every precision;
+    past the budget cap the search raises ``BudgetExhausted(message)``.
+    """
+    state: list = []
+
+    def fn(q: int) -> Fraction:
+        if not state:
+            cap = budget_cap(4096)
+            for p in range(start, cap + 1, step):
+                got = decide(clamp01(x.approx(p)), pow2(-p))
+                if got is not None:
+                    state.append(got)
+                    break
+            else:
+                raise BudgetExhausted(message, needed=cap)
+        return state[0]
+
+    return CReal(fn)
 
 
 class Verdict(Enum):

@@ -16,7 +16,8 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact import CReal, DyadicInterval, ceil_log2, pow2, to_ratstr, from_ratstr
+from .exact import (CReal, DyadicInterval, ceil_log2, clamp01, pow2, to_ratstr,
+                    from_ratstr)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -208,12 +209,7 @@ class Polygonal:
         shift = 0 if lam <= 1 else ceil_log2(lam)
 
         def fn(p: int) -> Fraction:
-            q = x.approx(p + shift)
-            if q < 0:
-                q = ZERO
-            elif q > 1:
-                q = ONE
-            return self.eval(q)
+            return self.eval(clamp01(x.approx(p + shift)))
 
         return CReal(fn)
 
@@ -408,10 +404,6 @@ class IntervalUnion:
     def empty(cls) -> "IntervalUnion":
         return cls(())
 
-    @classmethod
-    def from_dyadic(cls, cell: DyadicInterval) -> "IntervalUnion":
-        return cls(((cell.left, cell.right),))
-
     @property
     def length(self) -> Fraction:
         return sum((b - a for a, b in self.ivs), ZERO)
@@ -536,7 +528,7 @@ def indicator_approx(interval, j: int) -> Polygonal:
         a, b = Fraction(interval[0]), Fraction(interval[1])
     if not 0 <= a < b <= 1:
         raise ValueError("need a nondegenerate interval inside [0, 1]")
-    return _union_indicator(((a, b),), w_of=lambda length: length * pow2(-(j + 2)))
+    return _union_indicator(((a, b),), j)
 
 
 def union_indicator(union: IntervalUnion, j: int) -> Polygonal:
@@ -545,10 +537,10 @@ def union_indicator(union: IntervalUnion, j: int) -> Polygonal:
         raise ValueError("grid index must be >= 0")
     if union.is_empty():
         return Polygonal.constant(0)
-    return _union_indicator(union.ivs, w_of=lambda length: length * pow2(-(j + 2)))
+    return _union_indicator(union.ivs, j)
 
 
-def _union_indicator(components, w_of) -> Polygonal:
+def _union_indicator(components, j: int) -> Polygonal:
     xs = [ZERO]
     vs = [ZERO]
 
@@ -561,7 +553,7 @@ def _union_indicator(components, w_of) -> Polygonal:
         vs.append(v)
 
     for a, b in components:
-        w = w_of(b - a)
+        w = (b - a) * pow2(-(j + 2))
         push(a, ZERO)
         push(a + w, ONE)
         push(b - w, ONE)

@@ -18,7 +18,7 @@ from threading import RLock
 from typing import Callable, Optional, Sequence
 
 from .errors import BudgetExhausted, CertificationError, RegularityError
-from .exact import CReal, budget_cap, ceil_log2, pow2
+from .exact import CReal, budget_cap, ceil_log2, clamp01, pow2
 from .polygonal import Polygonal
 
 ZERO = Fraction(0)
@@ -227,11 +227,7 @@ class DomainWitness:
         stays within ``gamma`` plus the accumulated slope-induced error.
         Returns ``(ok, accumulated_error)``.
         """
-        xt = self.x.approx(precision)
-        if xt < 0:
-            xt = ZERO
-        elif xt > 1:
-            xt = ONE
+        xt = clamp01(self.x.approx(precision))
         err = ZERO
         run = ZERO
         step = pow2(-precision)
@@ -513,7 +509,7 @@ def geometric_decay(seq: RegularSeq, name: str = ""):
         return TailProfile(total=total, vanish_from=k0)
 
     def transport(w: DomainWitness, n: int) -> Fraction:
-        return 2 * w.gamma * Fraction(3, 4) ** n
+        return decay_bound(w.gamma, n)
 
     return RegularSeq(gen, name=name or "decay", profile=profile), transport
 

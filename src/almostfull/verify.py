@@ -12,11 +12,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .aefunc import Summable, integral_uniqueness_check, lebesgue_integral
+from .aefunc import Summable, integral_uniqueness_check
 from .bridge import NetIndex
 from .catalog import get_bridge, get_entry, square_offset_summable, tents_at_center_seq
 from .errors import AlmostFullError, CertificationError
-from .exact import pow2, to_ratstr
+from .exact import clamp01, pow2, to_ratstr
 from .polygonal import Polygonal
 from .regular import (RegularSeq, geometric_decay, intersect_countable,
                       point_in_pps, row_witness, witness_precision)
@@ -32,22 +32,26 @@ class CheckResult:
     detail: str = ""
 
 
-def _random_nonneg_poly(rng: random.Random, nodes: int = 4) -> Polygonal:
-    cuts = sorted(rng.sample(range(1, 64), nodes))
-    xs = [ZERO] + [Fraction(c, 64) for c in cuts] + [ONE]
-    vs = [Fraction(rng.randint(0, 32), 16) for _ in xs]
-    return Polygonal(tuple(xs), tuple(vs))
+def _first_failure(name: str, cases, failure) -> CheckResult:
+    """Check ``name`` over ``cases`` in order, stopping at the first one for
+    which ``failure(case)`` returns a detail string instead of None."""
+    for case in cases:
+        detail = failure(case)
+        if detail is not None:
+            return CheckResult(name, False, detail)
+    return CheckResult(name, True)
 
 
-def _random_poly(rng: random.Random, nodes: int = 4) -> Polygonal:
+def _random_poly(rng: random.Random, low: int = -32, nodes: int = 4) -> Polygonal:
+    """Random polygonal with values in ``[low/16, 2]`` on sixteenth steps."""
     cuts = sorted(rng.sample(range(1, 64), nodes))
     xs = [ZERO] + [Fraction(c, 64) for c in cuts] + [ONE]
-    vs = [Fraction(rng.randint(-32, 32), 16) for _ in xs]
+    vs = [Fraction(rng.randint(low, 32), 16) for _ in xs]
     return Polygonal(tuple(xs), tuple(vs))
 
 
 def _scaled_regular(rng: random.Random, n: int) -> Polygonal:
-    h = _random_nonneg_poly(rng)
+    h = _random_poly(rng, low=0)
     total = h.integral()
     if total == 0:
         return h
@@ -73,16 +77,14 @@ def suite_regularity(seed: int) -> list:
 
     const = RegularSeq(lambda n: Polygonal.constant(pow2(-(n + 1))))
     dec, _ = geometric_decay(const)
-    ok = True
-    detail = ""
-    for n in range(21):
+
+    def decay_failure(n):
         bound = Fraction(5, 6) * Fraction(4, 9) ** n
         val = dec.term(n).integral()
         if not (val <= bound and val < pow2(-n)):
-            ok = False
-            detail = f"n={n}: {val}"
-            break
-    checks.append(CheckResult("decay-bound-exact", ok, detail))
+            return f"n={n}: {val}"
+
+    checks.append(_first_failure("decay-bound-exact", range(21), decay_failure))
 
     rows = [_random_regular_seq(seed + i, 20, offset=1) for i in range(3)]
     meet = intersect_countable(rows)
@@ -113,32 +115,29 @@ def suite_witnesses(seed: int) -> list:
     rows = [_random_regular_seq(seed + 7 * i, 20, offset=1) for i in range(3)]
     meet = intersect_countable(rows)
     wm = point_in_pps(meet)
-    all_ok = True
-    detail = ""
-    for n_row in range(3):
+
+    def row_failure(n_row):
         wr = row_witness(wm, n_row)
         prec = witness_precision(rows[n_row], 12, 24)
-        ok, err = wr.verify(rows[n_row], 12, prec)
+        ok, _ = wr.verify(rows[n_row], 12, prec)
         if not ok:
-            all_ok = False
-            detail = f"row {n_row} failed"
-            break
-    checks.append(CheckResult("intersection-transport", all_ok, detail))
+            return f"row {n_row} failed"
+
+    checks.append(_first_failure("intersection-transport", range(3), row_failure))
 
     dec, transport = geometric_decay(tents)
     wd = point_in_pps(dec)
-    xt = wd.x.approx(30)
-    ok = True
-    detail = ""
-    for n in range(8):
+    xt = clamp01(wd.x.approx(30))
+
+    def transport_failure(n):
         bound = transport(wd, n)
-        val = tents.term(n).eval(min(max(xt, ZERO), ONE))
+        val = tents.term(n).eval(xt)
         slack = tents.term(n).lipschitz() * pow2(-30)
         if val > bound + slack:
-            ok = False
-            detail = f"n={n}: {to_ratstr(val)} > {to_ratstr(bound)}"
-            break
-    checks.append(CheckResult("decay-transport-pointwise", ok, detail))
+            return f"n={n}: {to_ratstr(val)} > {to_ratstr(bound)}"
+
+    checks.append(_first_failure("decay-transport-pointwise", range(8),
+                                 transport_failure))
     return checks
 
 
@@ -146,18 +145,16 @@ def suite_integrals(seed: int) -> list:
     rng = random.Random(seed)
     checks = []
 
-    ok = True
-    detail = ""
-    for i in range(60):
+    def linearity_failure(i):
         h1 = _random_poly(rng)
         h2 = _random_poly(rng)
         a = Fraction(rng.randint(-8, 8), rng.randint(1, 8))
         b = Fraction(rng.randint(-8, 8), rng.randint(1, 8))
         if (a * h1 + b * h2).integral() != a * h1.integral() + b * h2.integral():
-            ok = False
-            detail = f"case {i}"
-            break
-    checks.append(CheckResult("integral-linearity-exact", ok, detail))
+            return f"case {i}"
+
+    checks.append(_first_failure("integral-linearity-exact", range(60),
+                                 linearity_failure))
 
     sq = get_entry("square").summable
     alt = square_offset_summable()
@@ -166,31 +163,27 @@ def suite_integrals(seed: int) -> list:
         integral_uniqueness_check(sq, alt, 12),
         ""))
 
-    ok = True
-    detail = ""
-    for n in range(13):
+    def chain_failure(n):
         gap = abs(sq.term(n + 1) - sq.term(n)).integral()
         if not gap < pow2(-n):
-            ok = False
-            detail = f"n={n}"
-            break
-    checks.append(CheckResult("square-chain-bounds", ok, detail))
+            return f"n={n}"
+
+    checks.append(_first_failure("square-chain-bounds", range(13), chain_failure))
 
     f = get_entry("tent").summable
-    bump = _random_nonneg_poly(rng)
+    bump = _random_poly(rng, low=0)
     g = f + Summable.from_polygonal(bump, name="bump")
-    ok = lebesgue_integral(f, 10) <= lebesgue_integral(g, 10) + pow2(-8)
+    ok = f.integral(10) <= g.integral(10) + pow2(-8)
     checks.append(CheckResult("monotonicity", ok))
 
-    ok = True
-    detail = ""
-    for p, q in ((4, 9), (6, 12), (8, 14)):
+    def contract_failure(pq):
+        p, q = pq
         gap = abs(sq.integral(p) - sq.integral(q))
         if gap > pow2(-p + 1) + pow2(-q + 1):
-            ok = False
-            detail = f"p={p},q={q}"
-            break
-    checks.append(CheckResult("integral-precision-contract", ok, detail))
+            return f"p={p},q={q}"
+
+    checks.append(_first_failure("integral-precision-contract",
+                                 ((4, 9), (6, 12), (8, 14)), contract_failure))
     return checks
 
 
@@ -216,61 +209,52 @@ def suite_bridge(seed: int, corrupt: bool = False) -> list:
                                       f"violated invariant: {exc}"))
         return checks
 
-    ok = True
-    detail = ""
-    for n in range(9):
+    def delta_failure(n):
         length = bridge.delta_union(n).length
         if not length > 1 - Fraction(3, 4) ** n:
-            ok = False
-            detail = f"n={n}: length {to_ratstr(length)}"
-            break
-    checks.append(CheckResult("delta-length-bound", ok, detail))
+            return f"n={n}: length {to_ratstr(length)}"
 
-    ok = True
-    detail = ""
-    for n in range(7):
+    checks.append(_first_failure("delta-length-bound", range(9), delta_failure))
+
+    def gamma_failure(n):
         info = bridge.gamma(n)
         if not info.lower_bound > 1 - 4 * Fraction(3, 4) ** n:
-            ok = False
-            detail = f"n={n}"
-            break
-    checks.append(CheckResult("gamma-lower-bound", ok, detail))
+            return f"n={n}"
 
-    ok = True
-    detail = ""
-    for m in range(1, 5):
-        for n in range(4):
-            deep = bridge.gamma_depth(m, n) + 16
-            tail = 3 * Fraction(3, 4) ** deep
-            for k in range(1 << m):
-                mu_hi = bridge.gamma_union(n, deep).intersect_interval(
-                    Fraction(k, 1 << m), Fraction(k + 1, 1 << m)).length
-                if bridge.theta(k, m, n):
-                    ok = mu_hi - tail > pow2(-2 * m) / 4
-                else:
-                    ok = mu_hi - tail <= pow2(-2 * m) / 2
-                if not ok:
-                    detail = f"cell ({k},{m},{n})"
-                    break
-            if not ok:
-                break
+    checks.append(_first_failure("gamma-lower-bound", range(7), gamma_failure))
+
+    def theta_cells():
+        for m in range(1, 5):
+            for n in range(4):
+                deep = bridge.gamma_depth(m, n) + 16
+                for k in range(1 << m):
+                    yield k, m, n, deep
+
+    def theta_failure(cell):
+        k, m, n, deep = cell
+        tail = 3 * Fraction(3, 4) ** deep
+        mu_hi = bridge.gamma_union(n, deep).intersect_interval(
+            Fraction(k, 1 << m), Fraction(k + 1, 1 << m)).length
+        if bridge.theta(k, m, n):
+            ok = mu_hi - tail > pow2(-2 * m) / 4
+        else:
+            ok = mu_hi - tail <= pow2(-2 * m) / 2
         if not ok:
-            break
-    checks.append(CheckResult("theta-guarantees", ok, detail))
+            return f"cell ({k},{m},{n})"
+
+    checks.append(_first_failure("theta-guarantees", theta_cells(), theta_failure))
 
     ident = get_bridge("identity")
-    ok = True
-    detail = ""
-    for m in (2, 3, 4):
+
+    def bracket_failure(m):
         net = ident.net(NetIndex.canonical(m))
         total = net.coefficient_sum
         lower = sum(Fraction(l, 1 << m) for l in range(1 << m)) * pow2(-m)
         upper = lower + pow2(-m)
         if not lower <= total <= upper:
-            ok = False
-            detail = f"m={m}"
-            break
-    checks.append(CheckResult("net-riemann-bracket", ok, detail))
+            return f"m={m}"
+
+    checks.append(_first_failure("net-riemann-bracket", (2, 3, 4), bracket_failure))
     return checks
 
 

@@ -11,9 +11,9 @@ from almostfull import (AEFunction, CReal, CertificationError, DomainWitness,
                         Summable, ae_zero_of_null_integral, certify_l1_gap,
                         char_of_interval_union, countable_set_intersection,
                         full_measure_to_pps, integral_uniqueness_check,
-                        lebesgue_integral, limit_of_summables, measure,
-                        point_in_positive_set, point_in_pps, positive_point,
-                        pow2, rat_approx, summable_min)
+                        limit_of_summables, point_in_positive_set,
+                        point_in_pps, positive_point, pow2, rat_approx,
+                        summable_min)
 from almostfull.catalog import get_entry, square_offset_summable
 
 F = Fraction
@@ -29,7 +29,7 @@ class TestLebesgueIntegral:
     def test_constant_schedule(self):
         s = Summable.from_polygonal(Polygonal.identity(), name="id")
         for p in (0, 5, 12):
-            assert lebesgue_integral(s, p) == HALF
+            assert s.integral(p) == HALF
 
     def test_square_closed_form(self):
         sq = get_entry("square").summable
@@ -159,7 +159,7 @@ class TestMonotonicity:
             vs = [F(rng.randint(0, 9), 8) for _ in xs]
             bump = Summable.from_polygonal(Polygonal(xs, vs))
             bigger = tent + bump
-            assert lebesgue_integral(tent, 9) <= lebesgue_integral(bigger, 9) + pow2(-7)
+            assert tent.integral(9) <= bigger.integral(9) + pow2(-7)
 
 
 class TestLimitOfSummables:
@@ -191,7 +191,7 @@ class TestLimitOfSummables:
         v = limit.integral(10)
         assert abs(v - exact) <= pow2(-10) + pow2(-12)
         for n in range(11):
-            gap = abs(v - lebesgue_integral(seq(n), 12))
+            gap = abs(v - seq(n).integral(12))
             # Telescoping oracle: the input chain certifies 2**-(n-1).
             assert gap <= pow2(-n + 1) + pow2(-9)
 
@@ -260,18 +260,18 @@ class TestMeasure:
     def test_whole_interval(self):
         whole = char_of(0, 1, name="whole")
         for p in (4, 10):
-            assert abs(measure(whole, p) - 1) <= pow2(-p)
+            assert abs(whole.measure(p) - 1) <= pow2(-p)
 
     def test_dyadic_cell(self):
         cell = DyadicInterval(1, 2)
         ms = char_of_interval_union(IntervalUnion(((cell.left, cell.right),)))
         for p in (5, 12):
-            assert abs(measure(ms, p) - F(1, 4)) <= pow2(-p)
+            assert abs(ms.measure(p) - F(1, 4)) <= pow2(-p)
 
     def test_two_cell_additivity(self):
         u = IntervalUnion(((F(1, 8), F(1, 4)), (HALF, F(5, 8))))
         ms = char_of_interval_union(u)
-        assert abs(measure(ms, 10) - F(1, 4)) <= pow2(-10)
+        assert abs(ms.measure(10) - F(1, 4)) <= pow2(-10)
 
     def test_dichotomy_at_witness(self):
         ms = char_of(HALF, 1)

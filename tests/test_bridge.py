@@ -1,13 +1,16 @@
 """Net machinery: sublevel sets, cell relation, sample points, conversion."""
 
+import gc
+import sys
+import threading
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from almostfull import (Bridge, CertificationError, IntervalUnion, NetIndex,
-                        RiemannCertificate, Summable, build_delta, build_gamma,
-                        from_ratstr, mean_cauchy_probe, net_function, pow2,
-                        rat_approx, sample_zeta, theta_membership,
+from almostfull import (AEFunction, Bridge, CertificationError, IntervalUnion,
+                        NetIndex, Polygonal, RiemannCertificate, Summable,
+                        bridge_for, from_ratstr, pow2, rat_approx,
                         witness_precision)
 from almostfull.catalog import get_bridge, get_entry
 
@@ -36,9 +39,43 @@ class TestNetIndex:
         assert not NetIndex.canonical(3).is_above(NetIndex.canonical(3))
 
 
+class TestBridgeFor:
+    def test_bridge_dies_with_its_function(self):
+        f = AEFunction.from_polygonal(Polygonal.tent(HALF), name="short-lived")
+        net = bridge_for(f).net(NetIndex.canonical(2))
+        assert abs(net.integral(6) - HALF) <= pow2(-1)
+        bridge = weakref.ref(bridge_for(f))
+        del f, net
+        gc.collect()
+        assert bridge() is None
+
+    def test_concurrent_callers_share_one_bridge(self):
+        f = AEFunction.from_polygonal(Polygonal.identity(), name="shared")
+        start = threading.Barrier(8)
+        got = []
+
+        def worker():
+            start.wait(timeout=10)
+            got.append(bridge_for(f))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got) == 8
+        assert all(b is got[0] for b in got)
+
+
 class TestDelta:
     def test_full_for_total_function(self):
-        d = build_delta(get_entry("identity").function, 4)
+        d = bridge_for(get_entry("identity").function).delta(4)
         assert d.support == IntervalUnion.whole()
 
     def test_exact_length_bound(self):
@@ -71,7 +108,7 @@ class TestGamma:
             assert info.lower_bound > 1 - 4 * THREE_QUARTERS ** n
 
     def test_full_rows_give_full_measure(self):
-        info = build_gamma(get_entry("identity").function, 3)
+        info = bridge_for(get_entry("identity").function).gamma(3)
         assert info.union == IntervalUnion.whole()
         assert abs(info.set.measure(8) - 1) <= pow2(-8)
 
@@ -92,7 +129,7 @@ class TestTheta:
         f = get_entry("identity").function
         for m in (1, 3, 5):
             for k in (0, (1 << m) - 1):
-                assert theta_membership(f, k, m, 2)
+                assert bridge_for(f).theta(k, m, 2)
 
     def test_cell_inside_gap_negative(self):
         bridge = get_bridge("ae-step")
@@ -126,19 +163,19 @@ class TestTheta:
 
     def test_bad_cell_rejected(self):
         with pytest.raises(ValueError):
-            theta_membership(get_entry("identity").function, 4, 2, 1)
+            bridge_for(get_entry("identity").function).theta(4, 2, 1)
 
 
 class TestZeta:
     def test_interior_of_cell(self):
         f = get_entry("identity").function
-        w = sample_zeta(f, 5, 3, 3)
+        w = bridge_for(f).zeta(5, 3, 3)
         x = rat_approx(w.x, 10)
         assert F(5, 8) < x < F(6, 8)
 
     def test_memoized_point_stable(self):
         f = get_entry("identity").function
-        assert sample_zeta(f, 2, 2, 2) is sample_zeta(f, 2, 2, 2)
+        assert bridge_for(f).zeta(2, 2, 2) is bridge_for(f).zeta(2, 2, 2)
 
     def test_negative_cell_uses_domain(self):
         bridge = get_bridge("ae-step")
@@ -162,7 +199,7 @@ class TestZeta:
 class TestNets:
     def test_constant_net(self):
         f = get_entry("constant")
-        net = net_function(f.function, NetIndex.canonical(3))
+        net = bridge_for(f.function).net(NetIndex.canonical(3))
         assert abs(net.integral(8) - 1) <= pow2(-8)
 
     def test_identity_bracket_m3(self):
@@ -196,30 +233,30 @@ class TestNets:
 
 class TestCauchyProbe:
     def test_constant_gap_zero(self):
-        rep = mean_cauchy_probe(get_entry("constant").function,
-                                NetIndex.canonical(2), trials=4,
-                                precision=8, seed=3)
+        bridge = bridge_for(get_entry("constant").function)
+        rep = bridge.cauchy_probe(NetIndex.canonical(2), trials=4,
+                                  precision=8, seed=3)
         assert from_ratstr(rep["max_gap"]) <= pow2(-6)
 
     def test_identity_shrinks(self):
-        rep = mean_cauchy_probe(get_entry("identity").function,
-                                NetIndex.canonical(4), trials=8,
-                                precision=8, seed=3)
+        bridge = bridge_for(get_entry("identity").function)
+        rep = bridge.cauchy_probe(NetIndex.canonical(4), trials=8,
+                                  precision=8, seed=3)
         assert from_ratstr(rep["max_gap"]) < pow2(-3)
 
     def test_oscillator_does_not_shrink(self):
-        f = get_entry("osc").function
+        bridge = bridge_for(get_entry("osc").function)
         for m in (3, 5):
-            rep = mean_cauchy_probe(f, NetIndex.canonical(m), trials=6,
-                                    precision=8, seed=3)
+            rep = bridge.cauchy_probe(NetIndex.canonical(m), trials=6,
+                                      precision=8, seed=3)
             assert from_ratstr(rep["max_gap"]) > F(1, 8)
 
     def test_deterministic_given_seed(self):
-        f = get_entry("identity").function
-        a = mean_cauchy_probe(f, NetIndex.canonical(3), trials=5,
-                              precision=8, seed=11)
-        b = mean_cauchy_probe(f, NetIndex.canonical(3), trials=5,
-                              precision=8, seed=11)
+        bridge = bridge_for(get_entry("identity").function)
+        a = bridge.cauchy_probe(NetIndex.canonical(3), trials=5,
+                                precision=8, seed=11)
+        b = bridge.cauchy_probe(NetIndex.canonical(3), trials=5,
+                                precision=8, seed=11)
         assert a == b
 
 

@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from almostfull import Polygonal, from_ratstr, pow2
 from almostfull.cli import main
 
@@ -127,6 +129,32 @@ class TestVerify:
         checks = json.loads(out)["results"]["checks"]
         failed = [c for c in checks if not c["ok"]]
         assert failed and "invariant" in failed[0]["detail"]
+
+
+class TestMalformedInput:
+    RAMP = '[["0/1","0/1"],["1/1","1/1"]]'
+
+    @pytest.mark.parametrize("poly, argv, budget", [
+        ("not json", ["integrate"], None),
+        ('[["x","1"],["1","0"]]', ["integrate"], None),
+        ('[["0","1/0"],["1","0"]]', ["integrate"], None),
+        ("[[0,1],[1,1]]", ["net-table", "--m-min", "1", "--m-max", "2"], None),
+        (RAMP, ["integrate", "--precision", "-1"], None),
+        (RAMP, ["net-table", "--m-min", "1", "--m-max", "2",
+                "--precision", "-1"], None),
+        (RAMP, ["integrate"], "abc"),
+    ], ids=["not-json", "bad-integer", "zero-denominator", "bare-numbers",
+            "negative-precision", "net-table-negative-precision", "bad-budget"])
+    def test_exit_2_without_traceback(self, capsys, monkeypatch, tmp_path,
+                                      poly, argv, budget):
+        path = tmp_path / "shape.json"
+        path.write_text(poly)
+        if budget is not None:
+            monkeypatch.setenv("ALMOSTFULL_BUDGET", budget)
+        code, out, err = run(capsys, *argv, "--function", f"poly:{path}")
+        assert code == 2
+        assert out == ""
+        assert err and "Traceback" not in err
 
 
 class TestBudget:

@@ -1,0 +1,38 @@
+"""The benchmark's span tracer still attaches to the library.
+
+``perfbench/tracer.py`` wraps a fixed set of library attributes (Bridge
+methods and its net memo, Summable and RegularSeq constructors by the
+position of their generator argument, the bisection walk, and module
+functions such as ``rat_approx``, ``sublevel`` and ``cli.main``).  A
+refactor that renames or inlines one of them must fail here rather than in
+a traced benchmark run.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import tracer
+from almostfull import cli
+
+t = tracer.install()
+code = cli.main(["integrate", "--function", "ae-step", "--precision", "2",
+                 "--method", "riemann-net"])
+assert code == 0, code
+for key in ("bridge.net.calls", "bridge.net.built", "bridge.zeta.calls",
+            "exact.rat_approx.calls", "aefunc.summable_term.generated",
+            "regular.term.generated", "polygonal.step_function.cells"):
+    assert t.counts[key] > 0, key
+"""
+
+
+def test_tracer_installs_against_src():
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(ROOT / "src")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
