@@ -17,8 +17,8 @@ from threading import RLock
 from typing import Callable, Optional, Sequence
 
 from .errors import BudgetExhausted, CertificationError
-from .exact import (CReal, budget_cap, ceil_log2, clamp01, pow2,
-                    refine_until_decided, to_ratstr)
+from .exact import (CReal, budget_cap, ceil_log2, pow2, refine_until_decided,
+                    to_ratstr)
 from .polygonal import (IntervalUnion, Polygonal, l1_distance, l1_upper,
                         union_indicator)
 from .regular import (DomainWitness, RegularSeq, geometric_decay,
@@ -56,25 +56,20 @@ class Summable:
     """An a.e.-defined function together with an L1-certified approximation.
 
     ``approx(n)`` yields polygonals with ``integral |f_{n+1} - f_n| < 2**-n``,
-    converging to the function on the almost-full set of ``agreement``
-    (which, for every construction in this library, coincides with the
-    function's own domain).  Decay bounds are verified exactly whenever two
-    neighbouring terms have materialized; ``strict_prefix`` forces the whole
-    chain up to each requested index.
+    converging to the function on the almost-full set of its domain.  Decay
+    bounds are verified exactly whenever two neighbouring terms have
+    materialized.  ``prefetch(n)``, when given, runs under the term lock
+    before term n is produced.
     """
 
     def __init__(self, base: AEFunction, approx: Callable[[int], Polygonal],
-                 agreement: Optional[RegularSeq] = None, name: str = "",
-                 strict_prefix: bool = False,
-                 prefetch: Optional[Callable[[int], None]] = None):
+                 name: str = "", prefetch: Optional[Callable[[int], None]] = None):
         self.base = base
         self._approx = approx
-        self.agreement = agreement if agreement is not None else base.domain
         self.name = name or base.name
         self._memo: dict[int, Polygonal] = {}
         self._checked: set[int] = set()
         self._lock = RLock()
-        self._strict = strict_prefix
         self._prefetch = prefetch
 
     @property
@@ -90,9 +85,6 @@ class Summable:
         with self._lock:
             if self._prefetch is not None:
                 self._prefetch(n)
-            if self._strict:
-                for k in range(n):
-                    self._term(k)
             return self._term(n)
 
     def _term(self, n: int) -> Polygonal:
@@ -143,14 +135,12 @@ class Summable:
         if c == 0:
             return Summable(
                 AEFunction(self.domain, lambda w: CReal.from_rational(0)),
-                lambda n: _ZERO_POLY, agreement=self.agreement,
-                name=f"0*{self.name}")
+                lambda n: _ZERO_POLY, name=f"0*{self.name}")
         shift = max(0, ceil_log2(abs(c)))
         base = AEFunction(self.domain,
                           lambda w: self.base.evaluator(w).scale(c),
                           name=f"{c}*{self.name}")
-        return Summable(base, lambda n: self.term(n + shift) * c,
-                        agreement=self.agreement, name=base.name)
+        return Summable(base, lambda n: self.term(n + shift) * c, name=base.name)
 
     def _combine(self, other: "Summable", op, label: str) -> "Summable":
         """Pointwise ``op``, which acts alike on approximants and on reals."""
@@ -164,7 +154,7 @@ class Summable:
         name = f"({self.name}{label}{other.name})"
         return Summable(AEFunction(dom, evaluator, name),
                         lambda n: op(self.term(n + 2), other.term(n + 2)),
-                        agreement=dom, name=name)
+                        name=name)
 
     def __add__(self, other: "Summable") -> "Summable":
         return self._combine(other, lambda a, b: a + b, "+")
@@ -181,8 +171,7 @@ class Summable:
     def abs(self) -> "Summable":
         base = AEFunction(self.domain, lambda w: abs(self.base.evaluator(w)),
                           name=f"|{self.name}|")
-        return Summable(base, lambda n: abs(self.term(n)),
-                        agreement=self.agreement, name=base.name)
+        return Summable(base, lambda n: abs(self.term(n)), name=base.name)
 
     def clip_nonneg(self) -> "Summable":
         """Pointwise maximum with 0; a contraction, so decay bounds survive."""
@@ -191,7 +180,7 @@ class Summable:
                           lambda w: self.base.evaluator(w).max_with(zero_real),
                           name=f"{self.name}+")
         return Summable(base, lambda n: self.term(n).max_with(_ZERO_POLY),
-                        agreement=self.agreement, name=base.name)
+                        name=base.name)
 
     # -- constructors ------------------------------------------------------------
 
@@ -211,20 +200,22 @@ def integral_uniqueness_check(f1: Summable, f2: Summable, p: int) -> bool:
     return abs(f1.integral(p) - f2.integral(p)) <= pow2(-p + 2)
 
 
-def certify_l1_gap(f1: Summable, f2: Summable, bound, start: Optional[int] = None,
+def certify_l1_gap(f1: Summable, f2: Summable, bound,
                    cap: Optional[int] = None) -> int:
     """Certify ``integral |f1 - f2| < bound`` from finite approximants.
 
     Returns the grid index k at which the exact polygonal distance plus the
-    tail slack ``2**-(k-2)`` drops below the bound.  The certificate is sound:
-    the true L1 distance differs from the grid distance by at most the slack.
+    tail slack ``2**-(k-2)`` drops below the bound, searching upward from
+    ``3 + ceil(log2(1/bound))`` for at most ``cap`` grid steps (default: the
+    budget).  The certificate is sound: the true L1 distance differs from
+    the grid distance by at most the slack.
     """
     bound = Fraction(bound)
     if bound <= 0:
         raise ValueError("bound must be positive")
     if f1 is f2:
-        return start or 0
-    k = start if start is not None else max(0, 3 + ceil_log2(1 / bound))
+        return 0
+    k = max(0, 3 + ceil_log2(1 / bound))
     steps = cap if cap is not None else budget_cap(64)
     for _ in range(steps):
         t1, t2 = f1.term(k), f2.term(k)
@@ -247,16 +238,16 @@ def positive_point(f: Summable, prefix: int) -> DomainWitness:
     Searches for an index m whose approximant dominates the combined error
     series (successive approximation gaps plus the scaled domain sequence),
     then realizes a point by bisection.  The returned witness bounds the
-    partial sums of the agreement sequence by ``2**m * realized bound``.
+    partial sums of the domain sequence by ``2**m * realized bound``.
     """
-    agreement = f.agreement
+    domain = f.domain
     last_error = None
     for m in range(1, prefix + 1):
         scale = pow2(-m)
 
         def gen(k: int, m=m, scale=scale) -> Polygonal:
             piece = abs(f.term(m + k + 1) - f.term(m + k))
-            hk = agreement.term(k)
+            hk = domain.term(k)
             if hk.is_zero():
                 return piece
             return piece + hk * scale
@@ -327,20 +318,19 @@ def char_of_interval_union(union: IntervalUnion,
 
     base = AEFunction(dom, evaluator, name=f"chi[{name}]")
     characteristic = Summable(base, lambda k: union_indicator(union, k),
-                              agreement=dom, name=base.name)
+                              name=base.name)
     return MeasurableSet(characteristic=characteristic, support=union, name=name)
 
 
-def point_in_positive_set(x: MeasurableSet, prefix: int = 24,
-                          direct: bool = True) -> DomainWitness:
+def point_in_positive_set(x: MeasurableSet, prefix: int = 24) -> DomainWitness:
     """A witness inside a set of positive measure, characteristic value 1.
 
     Interval-backed sets with profiled domains admit a direct interior
     selection (a third of the way into the largest component, which carries
     an exact witness); anything else falls back to the certified
-    positive-point realization.
+    positive-point realization :func:`positive_point`.
     """
-    if direct and x.support is not None and not x.support.is_empty():
+    if x.support is not None and not x.support.is_empty():
         a, b = x.support.largest_component()
         candidate = a + (b - a) / 3
         prof = x.characteristic.domain.profile_at(candidate)
@@ -356,16 +346,18 @@ def point_in_positive_set(x: MeasurableSet, prefix: int = 24,
     return w
 
 
-def limit_of_summables(seq: Callable[[int], Summable], certify: bool = True,
+def limit_of_summables(seq: Callable[[int], Summable],
                        name: str = "") -> Summable:
     """Limit of an L1-fast sequence of summable functions.
 
     The result's approximants are the diagonal of the input grids; its
     domain intersects the geometric-decay refinements of the diagonal-gap
-    and staircase-gap sequences with every input's agreement set, so
-    witnesses give a computable convergence rate.  Input gaps
-    ``integral |F_{n+1} - F_n| < 2**-n`` are certified from finite grids as
-    output terms materialize; failures name the offending index.
+    and staircase-gap sequences with every input's domain, so witnesses
+    give a computable convergence rate.  Asking for term n first certifies
+    the input gaps ``integral |F_{i+1} - F_i| < 2**-i`` for ``i <= n + 1``
+    from finite grids, then the output's own decay chain up to n; failures
+    name the offending index.  ``seq`` is called at most once per index,
+    under a lock, so callers may keep unlocked schedules behind it.
     """
     memo: dict[int, Summable] = {}
     lock = RLock()
@@ -379,7 +371,7 @@ def limit_of_summables(seq: Callable[[int], Summable], certify: bool = True,
     certified: set[int] = set()
 
     def ensure_gap(n: int) -> None:
-        if not certify or n in certified:
+        if n in certified:
             return
         a, b = f(n + 1), f(n)
         if a is not b:
@@ -400,6 +392,7 @@ def limit_of_summables(seq: Callable[[int], Summable], certify: bool = True,
     def prefetch(n: int) -> None:
         for i in range(n + 2):
             ensure_gap(i)
+        limit.check_prefix(n - 1)
 
     delta = RegularSeq(lambda j: abs(diag(j + 1) - diag(j)),
                        name=f"diag-gaps[{name}]")
@@ -423,7 +416,7 @@ def limit_of_summables(seq: Callable[[int], Summable], certify: bool = True,
             return dec_delta
         if r == 1:
             return dec_stairs
-        return f(r - 2).agreement
+        return f(r - 2).domain
 
     dom = intersect_countable(rows, name=f"dom[{name}]")
 
@@ -441,16 +434,13 @@ def limit_of_summables(seq: Callable[[int], Summable], certify: bool = True,
                 if j > cap:
                     raise BudgetExhausted("convergence rate exceeded the budget",
                                           needed=j)
-            h = diag(j)
-            lam = h.lipschitz()
-            q = p + 1 + (ceil_log2(lam) if lam > 1 else 0)
-            return h.eval(clamp01(w.x.approx(q)))
+            return diag(j).eval_creal(w.x).approx(p + 1)
 
         return CReal(fn)
 
     base = AEFunction(dom, evaluator, name=name or "limit")
-    return Summable(base, diag, agreement=dom, name=base.name,
-                    strict_prefix=True, prefetch=prefetch)
+    limit = Summable(base, diag, name=base.name, prefetch=prefetch)
+    return limit
 
 
 def ae_zero_of_null_integral(f: Summable, p: int) -> RegularSeq:
@@ -510,7 +500,7 @@ def summable_min(fs: Sequence[Summable], name: str = "") -> Summable:
         return out
 
     base = AEFunction(dom, evaluator, name=name or "min")
-    return Summable(base, approx, agreement=dom, name=base.name)
+    return Summable(base, approx, name=base.name)
 
 
 def countable_set_intersection(sets: Callable[[int], MeasurableSet] | Sequence[MeasurableSet],

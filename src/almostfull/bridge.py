@@ -162,14 +162,14 @@ class Bridge:
                 self._gamma_unions[(n, prefix)] = got
             return got
 
-    def gamma(self, n: int, prefix: Optional[int] = None) -> GammaInfo:
+    def gamma(self, n: int) -> GammaInfo:
         """Finite realization of the tail intersection of sublevel sets.
 
-        The reported lower bound charges the exact defects of the realized
-        prefix plus the geometric tail, and always exceeds 1 - 4*(3/4)**n.
+        The prefix is ``gamma_depth(max(n, 4), n)``.  The reported lower
+        bound charges the exact defects of the realized prefix plus the
+        geometric tail, and always exceeds 1 - 4*(3/4)**n.
         """
-        if prefix is None:
-            prefix = self.gamma_depth(max(n, 4), n)
+        prefix = self.gamma_depth(max(n, 4), n)
         union = self.gamma_union(n, prefix)
         defects = sum((self.delta_defect(k) for k in range(n, prefix + 1)), ZERO)
         tail = 3 * THREE_QUARTERS ** prefix
@@ -226,21 +226,10 @@ class Bridge:
             # Same point the generic route selects: a third into the cell.
             candidate = Fraction(3 * k + 1, 3 << m)
             return DomainWitness(x=CReal.from_rational(candidate), gamma=ZERO)
-        lo, hi = _cell_bounds(k, m)
         if self.theta(k, m, n):
-            depth = self.gamma_depth(m, n)
-            union = self.gamma_union(n, depth).intersect_interval(lo, hi)
-            a, b = union.largest_component()
-            candidate = a + (b - a) / 3
-            prof = self.f.domain.profile_at(candidate)
-            if prof is not None:
-                return DomainWitness(x=CReal.from_rational(candidate),
-                                     gamma=prof.total)
-            ms = char_of_interval_union(union, extra_domain=self.f.domain,
-                                        name=f"cell({k},{m},{n})")
-            w_pair = point_in_positive_set(ms, prefix=2 * m + 8)
-            return row_witness(w_pair, 1)
+            return self._sample_in(k, m, n, Fraction(1, 3), "cell")[0]
         # Otherwise: any point of the cell that lies in the domain.
+        lo, hi = _cell_bounds(k, m)
         candidate = lo + (hi - lo) / 3
         prof = self.f.domain.profile_at(candidate)
         if prof is not None:
@@ -250,6 +239,26 @@ class Bridge:
         realized = realize_point(bump, self.f.domain.shifted(shift), shift)
         extra = sum((self.f.domain.term(i).max_value() for i in range(shift)), ZERO)
         return DomainWitness(x=realized.point, gamma=realized.bound + extra)
+
+    def _sample_in(self, k: int, m: int, n: int, t: Fraction, name: str):
+        """A witnessed point of the realized set in cell k at level m.
+
+        Takes the point at fraction t of the largest component of the cell's
+        part of the realized prefix set; it carries an exact witness where
+        the domain has a profile.  Otherwise a point of that component is
+        realized and transported to f's domain.  Returns the witness and the
+        rational point, or None for a realized point.
+        """
+        lo, hi = _cell_bounds(k, m)
+        union = self.gamma_union(n, self.gamma_depth(m, n)).intersect_interval(lo, hi)
+        a, b = union.largest_component()
+        xi = a + (b - a) * t
+        prof = self.f.domain.profile_at(xi)
+        if prof is not None:
+            return DomainWitness(x=CReal.from_rational(xi), gamma=prof.total), xi
+        ms = char_of_interval_union(union, extra_domain=self.f.domain,
+                                    name=f"{name}({k},{m},{n})")
+        return row_witness(point_in_positive_set(ms, prefix=2 * m + 8), 1), None
 
     # -- nets ---------------------------------------------------------------------
 
@@ -289,18 +298,16 @@ class Bridge:
                                         "cell location exceeded the budget")
 
         base = AEFunction(dom, evaluator, name=f"net({self.name},m={m})")
-        out = Summable(base, lambda j: step_function(coeffs, m, j),
-                       agreement=dom, name=base.name)
+        out = Summable(base, lambda j: step_function(coeffs, m, j), name=base.name)
         out.coefficient_sum = sum(coeffs, ZERO) * cell
         with self._lock:
             return self._nets.setdefault(alpha, out)
 
     # -- probing and conversion ------------------------------------------------------
 
-    def random_above(self, rng: random.Random, alpha: NetIndex,
-                     spread: int = 2) -> NetIndex:
-        """A random refinement strictly above alpha in the direction order."""
-        m = alpha.level + rng.randint(1, spread)
+    def random_above(self, rng: random.Random, alpha: NetIndex) -> NetIndex:
+        """A random refinement one or two levels above alpha."""
+        m = alpha.level + rng.randint(1, 2)
         cells = []
         for l in range(1 << m):
             extra = rng.randint(0, 1)
@@ -311,7 +318,7 @@ class Bridge:
         return NetIndex(level=m, cells=tuple(cells))
 
     def cauchy_probe(self, alpha: NetIndex, trials: int, precision: int,
-                     seed: int, spread: int = 2) -> dict:
+                     seed: int) -> dict:
         """Sampled falsification probe for mean-Cauchy behaviour above alpha.
 
         Universal quantification is the certificate's business; this reports
@@ -320,8 +327,8 @@ class Bridge:
         rng = random.Random(seed)
         gaps = []
         for _ in range(trials):
-            a1 = self.random_above(rng, alpha, spread)
-            a2 = self.random_above(rng, alpha, spread)
+            a1 = self.random_above(rng, alpha)
+            a2 = self.random_above(rng, alpha)
             gap = (self.net(a1) - self.net(a2)).abs().integral(precision)
             gaps.append(gap)
         return {
@@ -341,38 +348,34 @@ class Bridge:
         terms materialize, and a failure names the offending index.
         """
         chosen: list[NetIndex] = []
-        lock = RLock()
 
         def alpha(j: int) -> NetIndex:
-            with lock:
-                while len(chosen) <= j:
-                    jj = len(chosen)
-                    base = cert(pow2(-(jj + 1)))
-                    lvl = base.level + 1
-                    if chosen:
-                        lvl = max(lvl, chosen[-1].level)
-                    chosen.append(NetIndex.uniform(lvl, lvl))
-                return chosen[j]
+            # Called only through the limit's locked input memo.
+            while len(chosen) <= j:
+                base = cert(pow2(-(len(chosen) + 1)))
+                lvl = base.level + 1
+                if chosen:
+                    lvl = max(lvl, chosen[-1].level)
+                chosen.append(NetIndex.uniform(lvl, lvl))
+            return chosen[j]
 
         return limit_of_summables(lambda j: self.net(alpha(j)),
                                   name=name or f"lebesgue({self.name})")
 
     def equality_check(self, g: Summable, n: int, samples: int, q: int,
-                       seed: int, rungs: Optional[int] = None,
-                       level_cap: Optional[int] = None) -> dict:
+                       seed: int) -> dict:
         """Sampled verification that f and its converted limit agree.
 
-        Builds the refinement ladder of nets at the fixed depth n with
-        exactly certified L1 steps, realizes fresh witness points in cells
-        that pass ``theta`` (offset away from every sample point used by the
-        nets), and compares f against g's approximant at grid q+2.  The
-        equality region itself is never constructed; the report carries the
-        pass fraction and the ladder data.
+        Builds a ladder of 8 nets at the fixed depth n with exactly
+        certified L1 steps, below level ``max(n, 4) + 16``, realizes fresh
+        witness points in cells that pass ``theta`` (offset away from every
+        sample point used by the nets), and compares f against g's
+        approximant at grid q+2.  The equality region itself is never
+        constructed; the report carries the pass fraction and the ladder
+        data.
         """
-        if rungs is None:
-            rungs = 8
-        if level_cap is None:
-            level_cap = max(n, 4) + rungs + 8
+        rungs = 8
+        level_cap = max(n, 4) + 16
         ladder_levels = [max(n, 1)]
         gaps: list[Fraction] = []
         prev = self.net(NetIndex.uniform(ladder_levels[0], n))
@@ -410,23 +413,11 @@ class Bridge:
             positive = [l for l in range(1 << m_s) if self.theta(l, m_s, n)]
         chosen = rng.sample(positive, samples)
         g_grid = g.term(q + 2)
-        depth = self.gamma_depth(m_s, n)
         rows = []
         passes = 0
         for l in sorted(chosen):
-            lo, hi = _cell_bounds(l, m_s)
-            union = self.gamma_union(n, depth).intersect_interval(lo, hi)
-            a, b = union.largest_component()
-            t = rng.randrange(32)
-            xi = a + (b - a) * Fraction(3 * t + 1, 96)
-            prof = self.f.domain.profile_at(xi)
-            if prof is not None:
-                wit = DomainWitness(x=CReal.from_rational(xi), gamma=prof.total)
-            else:
-                ms = char_of_interval_union(union, extra_domain=self.f.domain,
-                                            name=f"sample({l},{m_s},{n})")
-                wit = row_witness(point_in_positive_set(ms, prefix=2 * m_s + 8), 1)
-                xi = None
+            t = Fraction(3 * rng.randrange(32) + 1, 96)
+            wit, xi = self._sample_in(l, m_s, n, t, "sample")
             f_val = self.f.eval(wit).approx(q + 2)
             x_for_g = clamp01(xi if xi is not None else wit.x.approx(q + m_s + 8))
             g_val = g_grid.eval(x_for_g)

@@ -18,7 +18,7 @@ from .aefunc import AEFunction, Summable, char_of_interval_union
 from .bridge import Bridge, NetIndex, RiemannCertificate, bridge_for
 from .exact import CReal, HALF, ceil_log2, clamp01, pow2, refine_until_decided
 from .polygonal import IntervalUnion, Polygonal
-from .regular import DomainWitness, RegularSeq, TailProfile
+from .regular import DomainWitness, RegularSeq, TailProfile, point_avoiding_seq
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -68,7 +68,6 @@ def poly_entry(name: str, h: Polygonal, description: str) -> CatalogEntry:
 def _square_summable(name: str = "square") -> Summable:
     """Interpolants of x**2 on 2**n uniform pieces; gaps are exactly 4**-n/8."""
 
-    @lru_cache(maxsize=None)
     def term(n: int) -> Polygonal:
         cells = 1 << n
         xs = [Fraction(i, cells) for i in range(cells + 1)]
@@ -92,8 +91,7 @@ def square_offset_summable() -> Summable:
     feeds the integral uniqueness check.
     """
     uniform = _square_summable("square-alt")
-    return Summable(uniform.base, lambda n: uniform.term(n + 1),
-                    agreement=uniform.agreement, name="square-alt")
+    return Summable(uniform.base, lambda n: uniform.term(n + 1), name="square-alt")
 
 
 def _step_summable(name: str = "ae-step") -> Summable:
@@ -103,28 +101,7 @@ def _step_summable(name: str = "ae-step") -> Summable:
     midpoint, so the bounded-sum set excludes exactly that point; every
     witness carries an effective distance from it.
     """
-
-    def dom_width(k: int) -> Fraction:
-        return pow2(-(k + 2))
-
-    def dom_term(k: int) -> Polygonal:
-        return Polygonal.tent(HALF, ONE, dom_width(k))
-
-    def dom_profile(x: Fraction) -> Optional[TailProfile]:
-        d = abs(x - HALF)
-        if d == 0:
-            return None
-        k0 = 0
-        while dom_width(k0) > d:
-            k0 += 1
-        total = ZERO
-        for k in range(k0):
-            w = dom_width(k)
-            if d < w:
-                total += 1 - d / w
-        return TailProfile(total=total, vanish_from=k0)
-
-    domain = RegularSeq(dom_term, name="step-dom", profile=dom_profile)
+    domain = point_avoiding_seq([HALF], name="step-dom")
 
     def side(xt: Fraction, r: Fraction) -> Optional[Fraction]:
         if xt + r < HALF:

@@ -74,16 +74,14 @@ def cmd_integrate(args) -> int:
     )
     if args.method == "lebesgue":
         if entry.summable is None:
-            print(f"entry {entry.name} has no summable representation",
-                  file=sys.stderr)
-            return EXIT_CERT
+            raise CertificationError(
+                f"entry {entry.name} has no summable representation")
         value = entry.summable.integral(p)
         report.prefix_depths["approximation_index"] = p + 2
     else:
         if entry.certificate is None:
-            print(f"entry {entry.name} carries no certificate for the net route",
-                  file=sys.stderr)
-            return EXIT_CERT
+            raise CertificationError(
+                f"entry {entry.name} carries no certificate for the net route")
         g = bridge_for(entry.function).to_lebesgue(entry.certificate)
         value = g.integral(p)
         report.prefix_depths["approximation_index"] = p + 2
@@ -110,8 +108,7 @@ def cmd_net_table(args) -> int:
     if args.m_min < 1 or args.m_max < args.m_min:
         raise InputError("need 1 <= m-min <= m-max")
     if entry.certificate is None and entry.summable is None:
-        print(f"entry {entry.name} supports no canonical net", file=sys.stderr)
-        return EXIT_CERT
+        raise CertificationError(f"entry {entry.name} supports no canonical net")
     p = args.precision
     bridge = bridge_for(entry.function)
     rows = []

@@ -157,18 +157,15 @@ def deserialize_prefix(text: str) -> list:
     return out
 
 
-def point_avoiding_seq(points: Sequence, scale=ONE, name: str = "") -> RegularSeq:
+def point_avoiding_seq(points: Sequence, name: str = "") -> RegularSeq:
     """Sequence of shrinking unit-height tents around finitely many points.
 
     The bounded-sum set excludes exactly the given points: each tent at index
-    k has half-width ``scale * 2**-(k+2) / count``, so the series diverges on
-    the points and vanishes eventually everywhere else.  Profiles are
-    computed analytically, without materializing the tent polygonals.
+    k has half-width ``2**-(k+2) / count``, so the series diverges on the
+    points and vanishes eventually everywhere else.  Profiles are computed
+    analytically, without materializing the tent polygonals.
     """
     pts = sorted({Fraction(p) for p in points})
-    scale = Fraction(scale)
-    if not 0 < scale <= 1:
-        raise ValueError("scale must be in (0, 1]")
     for p in pts:
         if not 0 <= p <= 1:
             raise ValueError("avoided points must lie in [0, 1]")
@@ -177,7 +174,7 @@ def point_avoiding_seq(points: Sequence, scale=ONE, name: str = "") -> RegularSe
     count = len(pts)
 
     def width(k: int) -> Fraction:
-        return scale * pow2(-(k + 2)) / count
+        return pow2(-(k + 2)) / count
 
     def bump(p: Fraction, w: Fraction) -> Polygonal:
         if p == 0:
@@ -277,7 +274,7 @@ class _Bisection:
     CHUNK = 4
 
     def __init__(self, h: Polygonal, seq: RegularSeq, eps: Fraction, k0: int,
-                 margin0: Fraction, depth_cap: int):
+                 depth_cap: int):
         self.h = h
         self.seq = seq
         self.eps = eps
@@ -286,7 +283,7 @@ class _Bisection:
         self._lock = RLock()
         self._pows = [ONE]
         # chain entries: (lo, hi, K, margin)
-        self.chain = [(ZERO, ONE, k0, margin0)]
+        self.chain = [(ZERO, ONE, k0, self._margin(ZERO, ONE, k0))]
 
     def _pow(self, n: int) -> Fraction:
         while len(self._pows) <= n:
@@ -361,38 +358,21 @@ def realize_point(h: Polygonal, seq: RegularSeq, prefix: int) -> RealizedPoint:
             f"integral {total_h} vs certified bound {lhs}")
 
     e_cap = budget_cap(64)
-    eps = None
-    k0 = prefix
-    margin0 = None
+    depth_cap = budget_cap(4096)
     for e in range(1, e_cap + 1):
-        cand = pow2(-e)
-        k0 = prefix + 2 * e
-        lam = (1 + cand) / 2
-        tail = lam ** (k0 + 1) / (1 - lam)
-        acc = ZERO
-        power = ONE
-        for n in range(k0 + 1):
-            hn = seq.term(n)
-            if not hn.is_zero():
-                acc += power * hn.integral()
-            power *= 1 + cand
-        m = total_h - cand - acc - tail
-        if m > 0:
-            eps = cand
-            margin0 = m
+        walk = _Bisection(h, seq, pow2(-e), prefix + 2 * e, depth_cap)
+        if walk.chain[0][3] > 0:
             break
-    if eps is None:
+    else:
         raise BudgetExhausted("no admissible eps found; raise the budget", needed=e_cap)
 
-    depth_cap = budget_cap(4096)
-    walk = _Bisection(h, seq, eps, k0, margin0, depth_cap)
+    eps = walk.eps
     xi = walk.point()
-
-    e = -ceil_log2(1 / eps)  # eps == 2**e with e < 0
-    p = -e + 2
+    p = e + 2
     h_at = h.eval_creal(xi).approx(p)
     bound = h_at + pow2(-p) - eps
-    return RealizedPoint(point=xi, bound=bound, epsilon=eps, margin=eps / 2, prefix=k0)
+    return RealizedPoint(point=xi, bound=bound, epsilon=eps, margin=eps / 2,
+                         prefix=prefix + 2 * e)
 
 
 def point_in_pps(seq: RegularSeq) -> DomainWitness:
@@ -405,19 +385,19 @@ def point_in_pps(seq: RegularSeq) -> DomainWitness:
 
 
 def intersect_countable(rows: Callable[[int], RegularSeq] | Sequence[RegularSeq],
-                        zero_from: Optional[int] = None,
                         name: str = "") -> RegularSeq:
     """Diagonal combination certifying a countable intersection.
 
     Returns the sequence ``g_k = sum_{n<=k} 2**-(2n+1) * h_{n, k-n}`` built
     from the rows; its almost-full set is contained in every row's.  A
     witness ``(x, gamma)`` for the result transports to row n as
-    ``(x, 2**(2n+1) * gamma)`` via :func:`row_witness`.
+    ``(x, 2**(2n+1) * gamma)`` via :func:`row_witness`.  A finite list of
+    rows is padded with zero rows, and only then has a pointwise profile.
     """
+    zero_from = None
     if not callable(rows):
         seqs = list(rows)
-        if zero_from is None:
-            zero_from = len(seqs)
+        zero_from = len(seqs)
         zero = RegularSeq.zero()
 
         def row_fn(n: int) -> RegularSeq:

@@ -208,6 +208,26 @@ class TestLimitOfSummables:
             limit.term(4)
         assert err.value.index is not None
 
+    def test_term_forces_decay_chain(self):
+        # Term n certifies the input gaps first, then materializes and
+        # checks the output chain 0..n-1, then term n itself.
+        tent = get_entry("tent").summable
+        asked = []
+
+        def seq(n):
+            def approx(k):
+                asked.append((n, k))
+                return tent.term(k)
+
+            return Summable(tent.base, approx, name=f"F{n}")
+
+        limit = limit_of_summables(seq, name="forced-chain")
+        limit.term(6)
+        diagonal = [(n, k) for n, k in asked if n == k]
+        assert diagonal == [(j + 2, j + 2) for j in range(7)]
+        assert asked.index(diagonal[0]) == len(asked) - 7
+        assert set(range(6)) <= limit._checked
+
     def test_evaluator_converges_at_witness(self):
         tent = get_entry("tent").summable
         limit = limit_of_summables(lambda n: tent, name="const-eval")
@@ -297,7 +317,7 @@ class TestPointInPositiveSet:
 
     def test_fallback_realization(self):
         ms = char_of(F(1, 3), F(2, 3))
-        w = point_in_positive_set(ms, direct=False)
+        w = positive_point(ms.characteristic, 24)
         assert F(1, 3) < rat_approx(w.x, 12) < F(2, 3)
         assert ms.characteristic.eval(w).approx(3) >= F(7, 8)
 

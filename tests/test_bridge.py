@@ -1,6 +1,8 @@
 """Net machinery: sublevel sets, cell relation, sample points, conversion."""
 
+import dataclasses
 import gc
+import random
 import sys
 import threading
 import weakref
@@ -293,6 +295,68 @@ class TestConversion:
         with pytest.raises(CertificationError) as err:
             g.integral(6)
         assert err.value.index is not None
+
+
+class TestConcurrentConversion:
+    """Threads sharing one converted limit see the write-once memo tables."""
+
+    TASKS = ([("integral", 4)] + [("term", k) for k in range(7)]
+             + [("net", m) for m in range(2, 6)])
+
+    @staticmethod
+    def _fresh_tent():
+        entry = get_entry("tent")
+        bridge = bridge_for(dataclasses.replace(entry.function))
+        return bridge, bridge.to_lebesgue(entry.certificate)
+
+    @staticmethod
+    def _run(bridge, limit, task):
+        kind, i = task
+        if kind == "integral":
+            return limit.integral(i)
+        if kind == "term":
+            return limit.term(i)
+        return bridge.net(NetIndex.canonical(i))
+
+    def test_threads_agree_with_single_thread(self):
+        ref_bridge, ref_limit = self._fresh_tent()
+        expected = {}
+        for task in self.TASKS:
+            got = self._run(ref_bridge, ref_limit, task)
+            expected[task] = got.term(task[1]) if task[0] == "net" else got
+
+        bridge, limit = self._fresh_tent()
+        start = threading.Barrier(8)
+        results = [dict() for _ in range(8)]
+        errors = []
+
+        def worker(i):
+            tasks = list(self.TASKS)
+            random.Random(i).shuffle(tasks)
+            try:
+                start.wait(timeout=30)
+                for task in tasks:
+                    results[i][task] = self._run(bridge, limit, task)
+            except Exception as exc:   # reported below, with the thread's id
+                errors.append((i, exc))
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert not errors
+        for got in results:
+            for task in self.TASKS:
+                value = got[task]
+                if task[0] == "net":
+                    assert value is results[0][task]
+                    assert value.term(task[1]) == expected[task]
+                else:
+                    assert value == expected[task]
+                    if task[0] == "term":
+                        assert value is results[0][task]
 
 
 class TestEqualityCheck:

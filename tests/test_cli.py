@@ -46,11 +46,20 @@ class TestIntegrate:
         assert code == 2
         assert "unknown function" in err
 
-    def test_missing_certificate_exit_3(self, capsys):
-        code, _, err = run(capsys, "integrate", "--function", "osc",
-                           "--method", "riemann-net")
+    @pytest.mark.parametrize("argv, reason", [
+        (["integrate", "--function", "osc", "--method", "riemann-net"],
+         "certificate"),
+        (["integrate", "--function", "osc", "--method", "lebesgue"],
+         "no summable representation"),
+        (["net-table", "--function", "osc", "--m-min", "1", "--m-max", "3"],
+         "no canonical net"),
+    ], ids=["integrate-net", "integrate-lebesgue", "net-table"])
+    def test_missing_certificate_exit_3(self, capsys, argv, reason):
+        code, out, err = run(capsys, *argv)
         assert code == 3
-        assert "certificate" in err
+        assert out == ""
+        assert err.startswith("certification failure: ")
+        assert reason in err
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "integrate", "--function", "tent",
