@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from threading import RLock
+from threading import Lock, RLock
 from typing import Callable, Optional
 
 from .aefunc import (AEFunction, MeasurableSet, Summable, certify_l1_gap,
@@ -23,8 +23,8 @@ from .aefunc import (AEFunction, MeasurableSet, Summable, certify_l1_gap,
 from .errors import BudgetExhausted, CertificationError
 from .exact import (CReal, clamp01, pow2, rat_approx, refine_until_decided,
                     to_ratstr)
-from .polygonal import (IntervalUnion, Polygonal, l1_distance, l1_upper,
-                        step_function, sublevel)
+from .polygonal import (IntervalUnion, Plateaus, Polygonal, l1_distance,
+                        l1_upper, step_function, sublevel)
 from .regular import (DomainWitness, RegularSeq, intersect_pair,
                       point_avoiding_seq, realize_point, row_witness)
 
@@ -265,9 +265,12 @@ class Bridge:
     def net(self, alpha: NetIndex) -> Summable:
         """Step-function net: cell plateaus carry sampled function values.
 
-        Coefficients are the sample values rounded at precision
-        ``level + 4``, so the step integral matches the exact sampled sum to
-        within the net's own resolution.
+        Each coefficient is ``rat_approx`` of the sampled value at precision
+        ``level + 4``: a rational within ``2**-(level+4)`` of it, which is
+        the exact sample value wherever f evaluates exactly (polygonals at
+        rational sample points).  The coefficients are kept as one shared
+        ``Plateaus``.  The net's domain avoids the cell boundaries; it is
+        built when a term or profile of it is first asked for.
         """
         with self._lock:
             got = self._nets.get(alpha)
@@ -279,18 +282,22 @@ class Bridge:
         for (k, ml, nl) in alpha.cells:
             w = self.zeta(k, ml, nl)
             coeffs.append(rat_approx(self.f.eval(w), precision))
-        coeffs = tuple(coeffs)
+        plateaus = Plateaus(coeffs)
         cell = pow2(-m)
-        boundaries = [l * cell for l in range(1, 1 << m)]
-        avoid = point_avoiding_seq(boundaries, name=f"grid({m})") if boundaries \
-            else RegularSeq.zero()
-        dom = intersect_pair(avoid, self.f.domain, name=f"netdom({m})")
+
+        def grid_domain() -> RegularSeq:
+            boundaries = [Fraction(l, 1 << m) for l in range(1, 1 << m)]
+            avoid = point_avoiding_seq(boundaries, name=f"grid({m})") if boundaries \
+                else RegularSeq.zero()
+            return intersect_pair(avoid, self.f.domain, name=f"netdom({m})")
+
+        dom = _built_on_first_use(grid_domain, name=f"netdom({m})")
 
         def locate(xt: Fraction, r: Fraction) -> Optional[Fraction]:
             idx = min(int(xt * (1 << m)), (1 << m) - 1)
             lo = idx * cell
             if lo + r < xt < lo + cell - r:
-                return coeffs[idx]
+                return plateaus[idx]
             return None
 
         def evaluator(wit: DomainWitness) -> CReal:
@@ -298,8 +305,8 @@ class Bridge:
                                         "cell location exceeded the budget")
 
         base = AEFunction(dom, evaluator, name=f"net({self.name},m={m})")
-        out = Summable(base, lambda j: step_function(coeffs, m, j), name=base.name)
-        out.coefficient_sum = sum(coeffs, ZERO) * cell
+        out = Summable(base, lambda j: step_function(plateaus, m, j), name=base.name)
+        out.coefficient_sum = Fraction(plateaus.total, plateaus.den << m)
         with self._lock:
             return self._nets.setdefault(alpha, out)
 
@@ -456,6 +463,22 @@ def _cell_trapezoid(lo: Fraction, hi: Fraction) -> Polygonal:
         xs.append(ONE)
         vs.append(ZERO)
     return Polygonal(tuple(xs), tuple(vs))
+
+
+def _built_on_first_use(build: Callable[[], RegularSeq], name: str) -> RegularSeq:
+    """The sequence ``build()``, which runs once, when a term or profile is
+    first asked for."""
+    lock = Lock()
+    built: list[RegularSeq] = []
+
+    def seq() -> RegularSeq:
+        with lock:
+            if not built:
+                built.append(build())
+            return built[0]
+
+    return RegularSeq(lambda n: seq().term(n), name=name,
+                      profile=lambda x: seq().profile_at(x))
 
 
 _BRIDGE_LOCK = RLock()

@@ -85,19 +85,24 @@ class CReal:
 
     ``approx(p)`` returns a rational within ``2**-p`` of the represented
     value.  Approximant functions must be pure; results are memoized per
-    instance, and instances may be shared freely between threads.
+    instance, and instances may be shared freely between threads.  A real
+    made by ``from_rational`` keeps its value in ``rational`` (None for
+    every other real) and answers each precision with it directly.
     """
 
-    __slots__ = ("_fn", "_cache", "_lock")
+    __slots__ = ("_fn", "_cache", "_lock", "rational")
 
     def __init__(self, fn: Callable[[int], Fraction]):
         self._fn = fn
         self._cache: dict[int, Fraction] = {}
         self._lock = RLock()
+        self.rational = None
 
     def approx(self, p: int) -> Fraction:
         if p < 0:
             raise ValueError("precision exponent must be >= 0")
+        if self.rational is not None:
+            return self.rational
         got = self._cache.get(p)
         if got is not None:
             return got
@@ -109,8 +114,9 @@ class CReal:
 
     @staticmethod
     def from_rational(q) -> "CReal":
-        q = Fraction(q)
-        return CReal(lambda p: q)
+        x = object.__new__(CReal)
+        x.rational = q if type(q) is Fraction else Fraction(q)
+        return x
 
     # Arithmetic requests operand precision p+2: the two operand errors then
     # total at most 2**-(p+1), inside the 2**-p contract.

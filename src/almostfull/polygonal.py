@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from fractions import Fraction
+from math import gcd, lcm
+from operator import sub
 from typing import Iterable, Sequence
 
 from .exact import (CReal, DyadicInterval, ceil_log2, clamp01, pow2, to_ratstr,
@@ -95,11 +97,10 @@ class Polygonal:
         i = bisect_right(xs, x) - 1
         if i >= len(xs) - 1:
             return self.vs[-1]
-        x0, x1 = xs[i], xs[i + 1]
+        x0 = xs[i]
         if x == x0:
             return self.vs[i]
-        v0, v1 = self.vs[i], self.vs[i + 1]
-        return v0 + (v1 - v0) * (x - x0) / (x1 - x0)
+        return self.vs[i] + self._seg_slopes()[i] * (x - x0)
 
     def integral(self) -> Fraction:
         """Exact integral over [0, 1] (trapezoid sum)."""
@@ -204,7 +205,12 @@ class Polygonal:
     # -- evaluation at certified reals ------------------------------------------
 
     def eval_creal(self, x: CReal) -> CReal:
-        """Value at a CReal point, with slope-aware precision bookkeeping."""
+        """Value at a CReal point, with slope-aware precision bookkeeping.
+
+        At a rational point the value is computed once and is exact.
+        """
+        if x.rational is not None:
+            return CReal.from_rational(self.eval(clamp01(x.rational)))
         lam = self.lipschitz()
         shift = 0 if lam <= 1 else ceil_log2(lam)
 
@@ -562,14 +568,16 @@ def _union_indicator(components, j: int) -> Polygonal:
     return Polygonal(tuple(xs), tuple(vs), _trusted=True)
 
 
-def _step_nodes(coeffs, m: int, j: int):
+def _step_nodes(plateaus: "Plateaus", m: int, j: int):
     cell = pow2(-m)
     w = cell * pow2(-(j + 2))
+    den = plateaus.den
     xs = [ZERO]
     vs = [ZERO]
-    for l, c in enumerate(coeffs):
-        if c == 0:
+    for l, num in enumerate(plateaus.nums):
+        if num == 0:
             continue
+        c = Fraction(num, den)
         a = l * cell
         b = a + cell
         if a != xs[-1]:
@@ -587,23 +595,53 @@ def _step_nodes(coeffs, m: int, j: int):
     return tuple(xs), tuple(vs)
 
 
+class Plateaus:
+    """Cell values of a step profile as integers over one common denominator.
+
+    Value l is ``nums[l] / den``, where ``den`` is the lcm of the values'
+    denominators; ``total`` and ``abs_total`` are the sums of the numerators
+    and of their absolute values.  Indexing and iteration give the values as
+    rationals.  A net builds one and shares it between all of its profiles,
+    so their integrals and L1 bounds are integer sums with a single division.
+    """
+
+    __slots__ = ("nums", "den", "total", "abs_total")
+
+    def __init__(self, values: Iterable):
+        values = [v if type(v) is Fraction else Fraction(v) for v in values]
+        den = lcm(*{v.denominator for v in values})
+        self.nums = tuple(v.numerator * (den // v.denominator) for v in values)
+        self.den = den
+        self.total = sum(self.nums)
+        self.abs_total = sum(map(abs, self.nums))
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __getitem__(self, l: int) -> Fraction:
+        return Fraction(self.nums[l], self.den)
+
+
 class StepPolygonal(Polygonal):
     """Dyadic step profile with trapezoid ramps, kept in closed form.
 
-    Stores one coefficient per cell plus the ramp grid index; integrals,
-    evaluation and L1 comparisons against other step profiles run off the
-    metadata, and the explicit node arrays are materialized only when some
-    generic polygonal operation asks for them.
+    Stores the cell values as ``Plateaus`` (integer numerators over one
+    common denominator) plus the ramp grid index; integrals, evaluation and
+    L1 comparisons against other step profiles run off that metadata in
+    integer arithmetic, and the explicit node arrays are materialized only
+    when some generic polygonal operation asks for them.
     """
 
     __slots__ = ("coeffs", "level", "ramp_exp")
 
-    def __init__(self, coeffs: Sequence, level: int, ramp_exp: int):
+    def __init__(self, coeffs, level: int, ramp_exp: int):
+        if not isinstance(coeffs, Plateaus):
+            coeffs = Plateaus(coeffs)
         if len(coeffs) != (1 << level):
             raise ValueError("need one coefficient per cell")
         if ramp_exp < 0:
             raise ValueError("ramp grid index must be >= 0")
-        self.coeffs = tuple(coeffs)
+        self.coeffs = coeffs
         self.level = level
         self.ramp_exp = ramp_exp
         self._integral = None
@@ -620,13 +658,21 @@ class StepPolygonal(Polygonal):
         raise AttributeError(name)
 
     @property
+    def _ramp_bits(self) -> int:
+        """The ramp width is ``2**-_ramp_bits``."""
+        return self.level + self.ramp_exp + 2
+
+    @property
     def ramp_width(self) -> Fraction:
-        return pow2(-(self.level + self.ramp_exp + 2))
+        return pow2(-self._ramp_bits)
 
     def integral(self) -> Fraction:
         if self._integral is None:
-            span = pow2(-self.level) - self.ramp_width
-            self._integral = sum(self.coeffs, ZERO) * span
+            # Each plateau spans 2**-level less one ramp width, which is
+            # (2**(ramp_exp + 2) - 1) ramp widths.
+            c = self.coeffs
+            spans = (1 << (self.ramp_exp + 2)) - 1
+            self._integral = Fraction(c.total * spans, c.den << self._ramp_bits)
         return self._integral
 
     def eval(self, x) -> Fraction:
@@ -638,9 +684,10 @@ class StepPolygonal(Polygonal):
         idx = int(x * (1 << m))
         if idx == (1 << m):
             return ZERO
-        c = self.coeffs[idx]
-        if c == 0:
+        num = self.coeffs.nums[idx]
+        if num == 0:
             return ZERO
+        c = Fraction(num, self.coeffs.den)
         lo = Fraction(idx, 1 << m)
         off = x - lo
         w = self.ramp_width
@@ -652,56 +699,63 @@ class StepPolygonal(Polygonal):
         return c
 
     def min_value(self) -> Fraction:
-        worst = min(self.coeffs)
-        return worst if worst < 0 else ZERO
+        worst = min(self.coeffs.nums)
+        return Fraction(worst, self.coeffs.den) if worst < 0 else ZERO
 
     def max_value(self) -> Fraction:
-        best = max(self.coeffs)
-        return best if best > 0 else ZERO
+        best = max(self.coeffs.nums)
+        return Fraction(best, self.coeffs.den) if best > 0 else ZERO
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs.nums)
 
     def is_nonneg(self) -> bool:
-        return min(self.coeffs) >= 0
+        return min(self.coeffs.nums) >= 0
 
     def lipschitz(self) -> Fraction:
         if self._lipschitz is None:
-            peak = max((abs(c) for c in self.coeffs), default=ZERO)
-            self._lipschitz = peak / self.ramp_width
+            c = self.coeffs
+            peak = max(map(abs, c.nums), default=0)
+            self._lipschitz = Fraction(peak << self._ramp_bits, c.den)
         return self._lipschitz
 
     def abs_mass(self) -> Fraction:
-        return sum((abs(c) for c in self.coeffs), ZERO)
+        return Fraction(self.coeffs.abs_total, self.coeffs.den)
 
     def ramp_slack(self) -> Fraction:
         """Exact L1 distance to the pure step with the same plateaus."""
-        return self.abs_mass() * self.ramp_width
+        return Fraction(self.coeffs.abs_total, self.coeffs.den << self._ramp_bits)
 
 
-def step_function(coeffs: Sequence, m: int, j: int) -> Polygonal:
+def step_function(coeffs, m: int, j: int) -> Polygonal:
     """Dyadic step profile with trapezoid ramps at grid index j.
 
-    ``coeffs[l]`` is the plateau value on the cell (l*2**-m, (l+1)*2**-m).
-    The profile is 0 at every cell boundary and climbs over ramps of width
+    ``coeffs[l]`` is the plateau value on the cell (l*2**-m, (l+1)*2**-m);
+    ``coeffs`` is a sequence of rationals or a ``Plateaus`` to share.  The
+    profile is 0 at every cell boundary and climbs over ramps of width
     ``2**-(j+2) * 2**-m`` just inside each cell, so it equals the sum of the
     cells' indicator approximants scaled by their coefficients.
     """
-    return StepPolygonal(tuple(Fraction(c) for c in coeffs), m, j)
+    return StepPolygonal(coeffs, m, j)
 
 
 def step_plateau_l1(a: StepPolygonal, b: StepPolygonal) -> Fraction:
     """Exact L1 distance between the pure-step parts of two profiles."""
     if a.level > b.level:
         a, b = b, a
-    shift = b.level - a.level
-    ca, cb = a.coeffs, b.coeffs
-    total = ZERO
-    for l, c in enumerate(cb):
-        d = ca[l >> shift] - c
-        if d.numerator:
-            total += d if d.numerator > 0 else -d
-    return total * pow2(-b.level)
+    pa, pb = a.coeffs, b.coeffs
+    if pa is pb:
+        return ZERO
+    # Bring both to the denominator lcm(da, db) and a to b's cells.
+    g = gcd(pa.den, pb.den)
+    sa, sb = pb.den // g, pa.den // g
+    na = pa.nums if sa == 1 else [n * sa for n in pa.nums]
+    nb = pb.nums if sb == 1 else [n * sb for n in pb.nums]
+    ratio = 1 << (b.level - a.level)
+    if ratio > 1:
+        na = [n for n in na for _ in range(ratio)]
+    total = sum(map(abs, map(sub, na, nb)))
+    return Fraction(total, (pa.den * sa) << b.level)
 
 
 def l1_upper(a: Polygonal, b: Polygonal):

@@ -10,9 +10,11 @@ from fractions import Fraction
 
 import pytest
 
+import almostfull.bridge as bridge_module
 from almostfull import (AEFunction, Bridge, CertificationError, IntervalUnion,
                         NetIndex, Polygonal, RiemannCertificate, Summable,
-                        bridge_for, from_ratstr, pow2, rat_approx,
+                        bridge_for, from_ratstr, intersect_pair,
+                        point_avoiding_seq, pow2, rat_approx,
                         witness_precision)
 from almostfull.catalog import get_bridge, get_entry
 
@@ -231,6 +233,77 @@ class TestNets:
         net = bridge.net(NetIndex.canonical(3))
         w = bridge.zeta(6, 3, 3)
         assert abs(net.eval(w).approx(6) - 1) <= pow2(-6)
+
+
+def _profiled_function(name):
+    """Tent values on a domain that avoids 1/3, so domain profiles vary."""
+    tent = Polygonal.tent(HALF)
+    return AEFunction(point_avoiding_seq([F(1, 3)], name="no-third"),
+                      lambda w: tent.eval_creal(w.x), name=name)
+
+
+class TestNetDomain:
+    POINTS = (F(1, 7), F(2, 5), F(1, 3), F(5, 9), F(11, 16) + F(1, 97))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_eager_grid_domain(self, m):
+        for f in (AEFunction.from_polygonal(Polygonal.tent(HALF), name="tent"),
+                  _profiled_function("profiled")):
+            net = Bridge(f).net(NetIndex.canonical(m))
+            boundaries = [F(l, 1 << m) for l in range(1, 1 << m)]
+            eager = intersect_pair(point_avoiding_seq(boundaries), f.domain)
+            for k in range(4):
+                assert net.domain.term(k) == eager.term(k)
+            for x in self.POINTS + (F(1, 1 << m),):
+                assert net.domain.profile_at(x) == eager.profile_at(x)
+            assert net.domain.profile_at(F(1, 1 << m)) is None
+
+    def test_level_12_net_builds_no_grid(self, monkeypatch):
+        calls = []
+
+        def counting(points, name=""):
+            calls.append(len(points))
+            return point_avoiding_seq(points, name=name)
+
+        monkeypatch.setattr(bridge_module, "point_avoiding_seq", counting)
+        tent = Polygonal.tent(HALF)
+        net = Bridge(AEFunction.from_polygonal(tent, name="tent12")).net(
+            NetIndex.canonical(12))
+        assert abs(net.integral(6) - HALF) <= pow2(-6) + pow2(-12)
+        assert calls == []
+        net.domain.profile_at(F(1, 3))
+        net.domain.profile_at(F(2, 3))
+        assert calls == [(1 << 12) - 1]
+
+    def test_built_once_under_concurrent_use(self, monkeypatch):
+        calls = []
+
+        def counting(points, name=""):
+            calls.append(len(points))
+            return point_avoiding_seq(points, name=name)
+
+        monkeypatch.setattr(bridge_module, "point_avoiding_seq", counting)
+        net = Bridge(_profiled_function("shared")).net(NetIndex.canonical(3))
+        start = threading.Barrier(8)
+        results = [None] * 8
+
+        def worker(i):
+            start.wait(timeout=10)
+            results[i] = (net.domain.profile_at(F(i + 1, 17)), net.domain.term(i % 3))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == [7]
+        assert all(r is not None and r[0] is not None for r in results)
 
 
 class TestCauchyProbe:

@@ -25,6 +25,10 @@ CASES = [
                                   "--method", "riemann-net", "--precision", "8"], 0),
     ("integrate-identity-net-p4", ["integrate", "--function", "identity",
                                    "--method", "riemann-net", "--precision", "4"], 0),
+    ("integrate-three-piece-net-p5", ["integrate", "--function", "three-piece",
+                                      "--method", "riemann-net", "--precision", "5"], 0),
+    ("integrate-poly-net-p5", ["integrate", "--function", BUMP, "--method",
+                               "riemann-net", "--precision", "5"], 0),
     ("integrate-poly-csv", ["integrate", "--function", BUMP,
                             "--precision", "8", "--csv"], 0),
     ("integrate-char-upper-half-csv", ["integrate", "--function",

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from almostfull import (CReal, DyadicInterval, Verdict, ceil_log2, from_ratstr,
-                        pow2, rat_approx, soft_compare, to_ratstr)
+from almostfull import (BudgetExhausted, CReal, DyadicInterval, Verdict,
+                        ceil_log2, from_ratstr, pow2, rat_approx, soft_compare,
+                        to_ratstr)
+from almostfull.exact import refine_until_decided
 
 HALF = Fraction(1, 2)
 
@@ -85,6 +87,43 @@ class TestCReal:
     def test_negative_precision_rejected(self):
         with pytest.raises(ValueError):
             rat_approx(CReal.from_rational(0), -1)
+
+
+class TestExactReal:
+    @given(rationals)
+    def test_from_rational_answers_every_precision(self, q):
+        x = CReal.from_rational(q)
+        assert x.rational == q
+        assert all(x.approx(p) == q for p in range(64))
+        with pytest.raises(ValueError):
+            x.approx(-1)
+
+    def test_generic_reals_carry_no_rational(self):
+        assert sqrt_half_oracle().rational is None
+        assert (CReal.from_rational(1) + CReal.from_rational(2)).rational is None
+
+    @given(st.fractions(min_value=-1, max_value=2, max_denominator=96))
+    @settings(max_examples=100)
+    def test_refine_until_decided_as_before(self, q):
+        def decider(seen):
+            def decide(xt, r):
+                seen.append((xt, r))
+                if xt + r < HALF:
+                    return Fraction(0)
+                if xt - r > HALF:
+                    return Fraction(1)
+                return None
+            return decide
+
+        runs = []
+        for x in (CReal.from_rational(q), CReal(lambda p: q)):
+            seen = []
+            try:
+                got = refine_until_decided(x, 2, 1, decider(seen), "undecided").approx(0)
+            except BudgetExhausted:
+                got = None
+            runs.append((got, seen))
+        assert runs[0] == runs[1]
 
 
 class TestSoftCompare:

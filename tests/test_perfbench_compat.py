@@ -21,13 +21,25 @@ import tracer
 from almostfull import cli
 
 t = tracer.install()
-code = cli.main(["integrate", "--function", "ae-step", "--precision", "2",
-                 "--method", "riemann-net"])
-assert code == 0, code
-for key in ("bridge.net.calls", "bridge.net.built", "bridge.zeta.calls",
-            "exact.rat_approx.calls", "aefunc.summable_term.generated",
-            "regular.term.generated", "polygonal.step_function.cells"):
-    assert t.counts[key] > 0, key
+
+
+def traced(function, keys):
+    t.counts.clear()
+    code = cli.main(["integrate", "--function", function, "--precision", "2",
+                     "--method", "riemann-net"])
+    assert code == 0, code
+    for key in keys:
+        assert t.counts[key] > 0, (function, key)
+
+
+# ae-step evaluates through refinement: generic certified reals.
+traced("ae-step", ("bridge.net.calls", "bridge.net.built", "bridge.zeta.calls",
+                   "exact.creal_created", "exact.rat_approx.calls",
+                   "aefunc.summable_term.generated", "regular.term.generated",
+                   "polygonal.step_function.cells"))
+# tent samples a polygonal at rational points: the exact sampling path.
+traced("tent", ("exact.rat_approx.calls", "polygonal.step_function.cells",
+                "polygonal.l1_upper.calls", "bridge.net.built"))
 """
 
 

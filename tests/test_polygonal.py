@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from almostfull import (DyadicInterval, IntervalUnion, Polygonal,
+from almostfull import (CReal, DyadicInterval, IntervalUnion, Polygonal,
                         indicator_approx, pow2, step_function, sublevel,
                         union_indicator)
-from almostfull.polygonal import StepPolygonal, l1_distance, l1_upper
+from almostfull.exact import clamp01
+from almostfull.polygonal import (Plateaus, StepPolygonal, l1_distance,
+                                  l1_upper, step_plateau_l1)
 
 F = Fraction
 HALF = F(1, 2)
@@ -212,6 +214,104 @@ class TestL1Helpers:
         upper = l1_upper(a, b)
         assert upper is not None
         assert upper >= l1_distance(a, b)
+
+
+# Reference Fraction loops for the step-profile closed forms.
+
+def ref_integral(coeffs, m, j):
+    return sum(coeffs, F(0)) * (pow2(-m) - pow2(-(m + j + 2)))
+
+
+def ref_abs_mass(coeffs):
+    return sum((abs(c) for c in coeffs), F(0))
+
+
+def ref_plateau_l1(ca, ma, cb, mb):
+    if ma > mb:
+        ca, ma, cb, mb = cb, mb, ca, ma
+    shift = mb - ma
+    total = F(0)
+    for l, c in enumerate(cb):
+        total += abs(ca[l >> shift] - c)
+    return total * pow2(-mb)
+
+
+@st.composite
+def step_coeffs(draw, max_level=4):
+    """A level and one coefficient per cell: mixed denominators, both signs."""
+    m = draw(st.integers(0, max_level))
+    coeffs = draw(st.lists(st.fractions(min_value=-4, max_value=4,
+                                        max_denominator=12),
+                           min_size=1 << m, max_size=1 << m))
+    return coeffs, m
+
+
+class TestIntegerPlateaus:
+    @given(step_coeffs(), st.integers(0, 6))
+    @settings(max_examples=150)
+    def test_sums_match_fraction_loops(self, cm, j):
+        coeffs, m = cm
+        s = step_function(coeffs, m, j)
+        assert list(s.coeffs) == coeffs
+        assert s.integral() == ref_integral(coeffs, m, j)
+        assert s.abs_mass() == ref_abs_mass(coeffs)
+        assert s.ramp_slack() == ref_abs_mass(coeffs) * pow2(-(m + j + 2))
+        dense = Polygonal(s.xs, s.vs)
+        assert s.integral() == dense.integral()
+        assert s.lipschitz() == dense.lipschitz()
+        assert (s.min_value(), s.max_value()) == (dense.min_value(), dense.max_value())
+
+    @given(step_coeffs(), step_coeffs(), st.integers(0, 5), st.integers(0, 5))
+    @settings(max_examples=150)
+    def test_plateau_l1_matches_fraction_loop(self, a, b, ja, jb):
+        (ca, ma), (cb, mb) = a, b
+        sa, sb = step_function(ca, ma, ja), step_function(cb, mb, jb)
+        expected = ref_plateau_l1(ca, ma, cb, mb)
+        assert step_plateau_l1(sa, sb) == expected
+        assert step_plateau_l1(sb, sa) == expected
+
+    @given(step_coeffs(max_level=3), step_coeffs(max_level=3),
+           st.integers(0, 4), st.integers(0, 4))
+    @settings(max_examples=100)
+    def test_l1_upper_dominates_exact(self, a, b, ja, jb):
+        (ca, ma), (cb, mb) = a, b
+        sa, sb = step_function(ca, ma, ja), step_function(cb, mb, jb)
+        assert l1_upper(sa, sb) >= l1_distance(sa, sb)
+
+    def test_shared_plateaus(self):
+        shared = Plateaus([F(1, 3), F(-1, 2), F(0), F(5, 6)])
+        assert (shared.nums, shared.den) == ((2, -3, 0, 5), 6)
+        a, b = step_function(shared, 2, 1), step_function(shared, 2, 4)
+        assert a.coeffs is b.coeffs
+        assert step_plateau_l1(a, b) == 0
+        assert l1_upper(a, b) == a.ramp_slack() + b.ramp_slack()
+        assert l1_upper(a, b) >= l1_distance(a, b)
+
+
+class TestExactPoints:
+    @given(polys(), st.integers(0, 96))
+    @settings(max_examples=150)
+    def test_eval_matches_two_point_formula(self, h, num):
+        x = F(num, 96)
+        i = max(i for i, t in enumerate(h.xs) if t <= x)
+        if i == len(h.xs) - 1:
+            expected = h.vs[-1]
+        else:
+            (x0, x1), (v0, v1) = h.xs[i:i + 2], h.vs[i:i + 2]
+            expected = v0 + (v1 - v0) * (x - x0) / (x1 - x0)
+        assert h.eval(x) == expected
+
+    @given(st.fractions(min_value=-2, max_value=3, max_denominator=48))
+    @settings(max_examples=100)
+    def test_eval_creal_at_rational_point(self, q):
+        steep = Polygonal.from_pairs([(0, 0), (F(1, 8), 3), (F(2, 3), F(-5, 2)), (1, 1)])
+        assert steep.lipschitz() > 1
+        for h in (TENT, steep):
+            exact = h.eval_creal(CReal.from_rational(q))
+            generic = h.eval_creal(CReal(lambda p: q))
+            assert exact.rational == h.eval(clamp01(q))
+            for p in (0, 3, 12, 40):
+                assert exact.approx(p) == generic.approx(p) == h.eval(clamp01(q))
 
 
 class TestIntervalUnion:
