@@ -17,8 +17,8 @@ from threading import RLock
 from typing import Callable, Optional, Sequence
 
 from .errors import BudgetExhausted, CertificationError
-from .exact import (CReal, budget_cap, ceil_log2, pow2, refine_until_decided,
-                    to_ratstr)
+from .exact import (CReal, Memo, budget_cap, ceil_log2, pow2,
+                    refine_until_decided, to_ratstr)
 from .polygonal import (IntervalUnion, Polygonal, l1_distance, l1_upper,
                         union_indicator)
 from .regular import (DomainWitness, RegularSeq, geometric_decay,
@@ -65,10 +65,22 @@ class Summable:
     def __init__(self, base: AEFunction, approx: Callable[[int], Polygonal],
                  name: str = "", prefetch: Optional[Callable[[int], None]] = None):
         self.base = base
-        self._approx = approx
         self.name = name or base.name
-        self._memo: dict[int, Polygonal] = {}
-        self._checked: set[int] = set()
+        terms = self._terms = Memo(approx)
+        where = f" in {self.name}" if self.name else ""
+
+        def certify_gap(lo: int) -> None:
+            bound = pow2(-lo)
+            gap = l1_upper(terms(lo + 1), terms(lo))
+            if gap is None or not gap < bound:
+                gap = l1_distance(terms(lo + 1), terms(lo))
+            if not gap < bound:
+                raise CertificationError(
+                    f"approximation gap {gap} at index {lo} is not below 2^-{lo}{where}",
+                    index=lo)
+
+        # Index lo is stored once |f_{lo+1} - f_lo| is certified below 2**-lo.
+        self._gaps = Memo(certify_gap)
         self._lock = RLock()
         self._prefetch = prefetch
 
@@ -82,35 +94,24 @@ class Summable:
     def term(self, n: int) -> Polygonal:
         if n < 0:
             raise ValueError("term index must be >= 0")
+        if self._prefetch is None:
+            return self._term(n)
         with self._lock:
-            if self._prefetch is not None:
-                self._prefetch(n)
+            self._prefetch(n)
             return self._term(n)
 
     def _term(self, n: int) -> Polygonal:
-        got = self._memo.get(n)
-        if got is None:
-            got = self._memo[n] = self._approx(n)
+        terms, gaps = self._terms, self._gaps
+        got = terms(n)
         for lo in (n - 1, n):
-            if lo >= 0 and lo not in self._checked \
-                    and lo in self._memo and lo + 1 in self._memo:
-                bound = pow2(-lo)
-                gap = l1_upper(self._memo[lo + 1], self._memo[lo])
-                if gap is None or not gap < bound:
-                    gap = l1_distance(self._memo[lo + 1], self._memo[lo])
-                if not gap < bound:
-                    raise CertificationError(
-                        f"approximation gap {gap} at index {lo} is not below 2^-{lo}"
-                        + (f" in {self.name}" if self.name else ""),
-                        index=lo)
-                self._checked.add(lo)
+            if lo >= 0 and lo not in gaps and lo in terms and lo + 1 in terms:
+                gaps(lo)
         return got
 
     def check_prefix(self, n: int) -> None:
         """Materialize terms 0..n, verifying every consecutive L1 bound."""
-        with self._lock:
-            for k in range(n + 1):
-                self._term(k)
+        for k in range(n + 1):
+            self._term(k)
 
     def integral(self, p: int) -> Fraction:
         """The Lebesgue integral to precision 2**-p: exactly ``integral(f_{p+2})``."""
@@ -357,22 +358,11 @@ def limit_of_summables(seq: Callable[[int], Summable],
     the input gaps ``integral |F_{i+1} - F_i| < 2**-i`` for ``i <= n + 1``
     from finite grids, then the output's own decay chain up to n; failures
     name the offending index.  ``seq`` is called at most once per index,
-    under a lock, so callers may keep unlocked schedules behind it.
+    under a memo's lock, so callers may keep unlocked schedules behind it.
     """
-    memo: dict[int, Summable] = {}
-    lock = RLock()
+    f = Memo(seq)
 
-    def f(n: int) -> Summable:
-        with lock:
-            if n not in memo:
-                memo[n] = seq(n)
-            return memo[n]
-
-    certified: set[int] = set()
-
-    def ensure_gap(n: int) -> None:
-        if n in certified:
-            return
+    def certify_input_gap(n: int) -> None:
         a, b = f(n + 1), f(n)
         if a is not b:
             try:
@@ -380,18 +370,13 @@ def limit_of_summables(seq: Callable[[int], Summable],
             except BudgetExhausted as exc:
                 raise CertificationError(
                     f"input L1 bound 2^-{n} could not be certified", index=n) from exc
-        certified.add(n)
 
-    diag_memo: dict[int, Polygonal] = {}
-
-    def diag(j: int) -> Polygonal:
-        if j not in diag_memo:
-            diag_memo[j] = f(j + 2).term(j + 2)
-        return diag_memo[j]
+    input_gaps = Memo(certify_input_gap)
+    diag = Memo(lambda j: f(j + 2).term(j + 2))
 
     def prefetch(n: int) -> None:
         for i in range(n + 2):
-            ensure_gap(i)
+            input_gaps(i)
         limit.check_prefix(n - 1)
 
     delta = RegularSeq(lambda j: abs(diag(j + 1) - diag(j)),
@@ -523,29 +508,24 @@ def countable_set_intersection(sets: Callable[[int], MeasurableSet] | Sequence[M
     else:
         set_fn = sets
 
-    mins_memo: dict[int, Summable] = {}
+    def meet(n: int) -> Summable:
+        chars = [set_fn(i).characteristic for i in range(n + 1)]
+        return summable_min(chars, name=f"{name}[0..{n}]")
 
-    def partial(n: int) -> Summable:
-        if n not in mins_memo:
-            chars = [set_fn(i).characteristic for i in range(n + 1)]
-            mins_memo[n] = summable_min(chars, name=f"{name}[0..{n}]")
-        return mins_memo[n]
-
+    partial = Memo(meet)
     cap = budget_cap(4096)
-    cut: list[int] = []
 
-    def thin(j: int) -> int:
-        while len(cut) <= j:
-            jj = len(cut)
-            nu = cut[-1] if cut else 0
-            target = pow2(-jj - 1)
-            while defect_tail(nu) >= target:
-                nu += 1
-                if nu > cap:
-                    raise BudgetExhausted(
-                        "defect tail does not shrink; series may diverge", needed=nu)
-            cut.append(nu)
-        return cut[j]
+    def cut(j: int) -> int:
+        nu = thin(j - 1) if j else 0
+        target = pow2(-j - 1)
+        while defect_tail(nu) >= target:
+            nu += 1
+            if nu > cap:
+                raise BudgetExhausted(
+                    "defect tail does not shrink; series may diverge", needed=nu)
+        return nu
+
+    thin = Memo(cut)
 
     limit = limit_of_summables(lambda j: partial(thin(j)), name=name or "meet")
     k_report = thin(2) + 4

@@ -14,15 +14,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from threading import Lock, RLock
+from threading import RLock
 from typing import Callable, Optional
 
 from .aefunc import (AEFunction, MeasurableSet, Summable, certify_l1_gap,
                      char_of_interval_union, limit_of_summables,
                      point_in_positive_set)
 from .errors import BudgetExhausted, CertificationError
-from .exact import (CReal, clamp01, pow2, rat_approx, refine_until_decided,
-                    to_ratstr)
+from .exact import (CReal, Memo, clamp01, pow2, rat_approx,
+                    refine_until_decided, to_ratstr)
 from .polygonal import (IntervalUnion, Plateaus, Polygonal, l1_distance,
                         l1_upper, step_function, sublevel)
 from .regular import (DomainWitness, RegularSeq, intersect_pair,
@@ -102,29 +102,29 @@ def _cell_bounds(k: int, m: int):
 
 
 class Bridge:
-    """Net machinery for one a.e.-defined function, with write-once memo tables."""
+    """Net machinery for one a.e.-defined function, with write-once memo tables.
+
+    The tables compute through the bridge itself.  That reference cycle costs
+    nothing extra: a bridge lives as long as its function, which keeps it
+    (see ``bridge_for``) and which it keeps.
+    """
 
     def __init__(self, f: AEFunction, name: str = ""):
         self.f = f
         self.name = name or f.name or "f"
-        self._lock = RLock()
-        self._delta_unions: dict[int, IntervalUnion] = {}
-        self._gamma_unions: dict[tuple, IntervalUnion] = {}
-        self._gamma_depths: dict[tuple, int] = {}
-        self._theta: dict[tuple, bool] = {}
-        self._zeta: dict[tuple, DomainWitness] = {}
-        self._nets: dict[NetIndex, Summable] = {}
+        self._delta_unions = Memo(
+            lambda n: sublevel(f.domain.term(n), TWO_THIRDS ** n))
+        self._gamma_unions = Memo(lambda key: self._intersect_deltas(*key))
+        self._gamma_depths = Memo(lambda key: _gamma_depth(*key))
+        self._theta = Memo(lambda key: self._decide_theta(*key))
+        self._zeta = Memo(lambda key: self._realize_zeta(*key))
+        self._nets = Memo(self._build_net)
 
     # -- sublevel sets and intersections -------------------------------------------
 
     def delta_union(self, n: int) -> IntervalUnion:
         """Carrier of the n-th sublevel set, where h_n < (2/3)**n."""
-        with self._lock:
-            got = self._delta_unions.get(n)
-            if got is None:
-                got = sublevel(self.f.domain.term(n), TWO_THIRDS ** n)
-                self._delta_unions[n] = got
-            return got
+        return self._delta_unions(n)
 
     def delta(self, n: int) -> MeasurableSet:
         """Measurable sublevel set; its exact length beats 1 - (3/4)**n."""
@@ -137,30 +137,21 @@ class Bridge:
 
     def gamma_depth(self, m: int, n: int) -> int:
         """Prefix making the unrealized tail at most a quarter cell area."""
-        key = (m, n)
-        got = self._gamma_depths.get(key)
-        if got is None:
-            allow = pow2(-2 * m) / 4
-            k = max(n, 0)
-            tail = 3 * THREE_QUARTERS ** k
-            while tail > allow:
-                k += 1
-                tail = tail * 3 / 4
-            got = self._gamma_depths[key] = k
-        return got
+        return self._gamma_depths((m, n))
 
     def gamma_union(self, n: int, prefix: int) -> IntervalUnion:
-        with self._lock:
-            got = self._gamma_unions.get((n, prefix))
-            if got is None:
-                if prefix < n:
-                    raise ValueError("prefix must be at least the start index")
-                if prefix > n:
-                    got = self.gamma_union(n, prefix - 1).intersect(self.delta_union(prefix))
-                else:
-                    got = self.delta_union(n)
-                self._gamma_unions[(n, prefix)] = got
-            return got
+        return self._gamma_unions((n, prefix))
+
+    def _intersect_deltas(self, n: int, prefix: int) -> IntervalUnion:
+        if prefix < n:
+            raise ValueError("prefix must be at least the start index")
+        if prefix == n:
+            return self.delta_union(n)
+        # Shorter prefixes first: each then extends a stored one, so a long
+        # first request does not recurse once per index.
+        for k in range(n, prefix - 1):
+            self.gamma_union(n, k)
+        return self.gamma_union(n, prefix - 1).intersect(self.delta_union(prefix))
 
     def gamma(self, n: int) -> GammaInfo:
         """Finite realization of the tail intersection of sublevel sets.
@@ -193,16 +184,12 @@ class Bridge:
         if self.f.domain.always_zero:
             # Sublevel sets are the whole interval, so every cell passes.
             return True
-        key = (k, m, n)
-        with self._lock:
-            got = self._theta.get(key)
-            if got is None:
-                depth = self.gamma_depth(m, n)
-                lo, hi = _cell_bounds(k, m)
-                mu = self.gamma_union(n, depth).intersect_interval(lo, hi).length
-                got = mu > pow2(-2 * m) / 2
-                self._theta[key] = got
-            return got
+        return self._theta((k, m, n))
+
+    def _decide_theta(self, k: int, m: int, n: int) -> bool:
+        lo, hi = _cell_bounds(k, m)
+        mu = self.gamma_union(n, self.gamma_depth(m, n)).intersect_interval(lo, hi).length
+        return mu > pow2(-2 * m) / 2
 
     # -- sample points ------------------------------------------------------------
 
@@ -213,13 +200,7 @@ class Bridge:
         the realized set; others sample anywhere in the cell's part of the
         function's domain.
         """
-        key = (k, m, n)
-        with self._lock:
-            got = self._zeta.get(key)
-            if got is None:
-                got = self._realize_zeta(k, m, n)
-                self._zeta[key] = got
-            return got
+        return self._zeta((k, m, n))
 
     def _realize_zeta(self, k: int, m: int, n: int) -> DomainWitness:
         if self.f.domain.always_zero:
@@ -272,10 +253,9 @@ class Bridge:
         ``Plateaus``.  The net's domain avoids the cell boundaries; it is
         built when a term or profile of it is first asked for.
         """
-        with self._lock:
-            got = self._nets.get(alpha)
-            if got is not None:
-                return got
+        return self._nets(alpha)
+
+    def _build_net(self, alpha: NetIndex) -> Summable:
         m = alpha.level
         precision = m + 4
         coeffs = []
@@ -307,8 +287,7 @@ class Bridge:
         base = AEFunction(dom, evaluator, name=f"net({self.name},m={m})")
         out = Summable(base, lambda j: step_function(plateaus, m, j), name=base.name)
         out.coefficient_sum = Fraction(plateaus.total, plateaus.den << m)
-        with self._lock:
-            return self._nets.setdefault(alpha, out)
+        return out
 
     # -- probing and conversion ------------------------------------------------------
 
@@ -354,18 +333,12 @@ class Bridge:
         levels; successive L1 bounds are certified exactly as the limit's
         terms materialize, and a failure names the offending index.
         """
-        chosen: list[NetIndex] = []
+        def choose(j: int) -> NetIndex:
+            floor = alpha(j - 1).level if j else 0
+            lvl = max(cert(pow2(-(j + 1))).level + 1, floor)
+            return NetIndex.uniform(lvl, lvl)
 
-        def alpha(j: int) -> NetIndex:
-            # Called only through the limit's locked input memo.
-            while len(chosen) <= j:
-                base = cert(pow2(-(len(chosen) + 1)))
-                lvl = base.level + 1
-                if chosen:
-                    lvl = max(lvl, chosen[-1].level)
-                chosen.append(NetIndex.uniform(lvl, lvl))
-            return chosen[j]
-
+        alpha = Memo(choose)
         return limit_of_summables(lambda j: self.net(alpha(j)),
                                   name=name or f"lebesgue({self.name})")
 
@@ -465,20 +438,22 @@ def _cell_trapezoid(lo: Fraction, hi: Fraction) -> Polygonal:
     return Polygonal(tuple(xs), tuple(vs))
 
 
+def _gamma_depth(m: int, n: int) -> int:
+    allow = pow2(-2 * m) / 4
+    k = max(n, 0)
+    tail = 3 * THREE_QUARTERS ** k
+    while tail > allow:
+        k += 1
+        tail = tail * 3 / 4
+    return k
+
+
 def _built_on_first_use(build: Callable[[], RegularSeq], name: str) -> RegularSeq:
     """The sequence ``build()``, which runs once, when a term or profile is
     first asked for."""
-    lock = Lock()
-    built: list[RegularSeq] = []
-
-    def seq() -> RegularSeq:
-        with lock:
-            if not built:
-                built.append(build())
-            return built[0]
-
-    return RegularSeq(lambda n: seq().term(n), name=name,
-                      profile=lambda x: seq().profile_at(x))
+    built = Memo(lambda _: build())
+    return RegularSeq(lambda n: built(None).term(n), name=name,
+                      profile=lambda x: built(None).profile_at(x))
 
 
 _BRIDGE_LOCK = RLock()

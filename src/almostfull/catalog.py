@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from .aefunc import AEFunction, Summable, char_of_interval_union
 from .bridge import Bridge, NetIndex, RiemannCertificate, bridge_for
-from .exact import CReal, HALF, ceil_log2, clamp01, pow2, refine_until_decided
+from .exact import CReal, HALF, Memo, ceil_log2, clamp01, pow2, refine_until_decided
 from .polygonal import IntervalUnion, Polygonal
 from .regular import DomainWitness, RegularSeq, TailProfile, point_avoiding_seq
 
@@ -173,8 +172,7 @@ THREE_PIECE = Polygonal.from_pairs([
 ])
 
 
-@lru_cache(maxsize=None)
-def get_entry(name: str) -> CatalogEntry:
+def _build_entry(name: str) -> CatalogEntry:
     if name == "identity":
         h = Polygonal.identity()
         s = Summable.from_polygonal(h, name="identity")
@@ -229,6 +227,9 @@ def get_entry(name: str) -> CatalogEntry:
             expected=None, expected_note="")
     raise KeyError(name)
 
+
+# One entry per name, built on first use and shared by every caller.
+get_entry = Memo(_build_entry)
 
 CATALOG_NAMES = ("identity", "constant", "tent", "three-piece", "square",
                  "ae-step", "char-upper-half", "osc")

@@ -80,6 +80,33 @@ def clamp01(q: Fraction) -> Fraction:
     return q
 
 
+class Memo(dict):
+    """Write-once table: ``memo(key)`` is ``compute(key)``, computed once.
+
+    A miss runs ``compute`` under the table's own reentrant lock, so it runs
+    once per key however many threads ask, and it may read other keys of
+    the same table.  A ``compute`` that raises stores nothing.  Reads of
+    stored keys take no lock, and ``key in memo`` tells whether a key is
+    stored.  A table kept on an object should compute from that object's
+    fields, not through the object: a ``compute`` holding its owner puts
+    the owner in a reference cycle, freed only by the cyclic collector.
+    """
+
+    __slots__ = ("_compute", "_lock")
+
+    def __init__(self, compute: Callable):
+        self._compute = compute
+        self._lock = RLock()
+
+    __call__ = dict.__getitem__
+
+    def __missing__(self, key):
+        with self._lock:
+            if key not in self:
+                self[key] = self._compute(key)
+            return self[key]
+
+
 class CReal:
     """A real number carried as certified rational approximants.
 
@@ -90,12 +117,10 @@ class CReal:
     every other real) and answers each precision with it directly.
     """
 
-    __slots__ = ("_fn", "_cache", "_lock", "rational")
+    __slots__ = ("_approx", "rational")
 
     def __init__(self, fn: Callable[[int], Fraction]):
-        self._fn = fn
-        self._cache: dict[int, Fraction] = {}
-        self._lock = RLock()
+        self._approx = Memo(fn)
         self.rational = None
 
     def approx(self, p: int) -> Fraction:
@@ -103,14 +128,7 @@ class CReal:
             raise ValueError("precision exponent must be >= 0")
         if self.rational is not None:
             return self.rational
-        got = self._cache.get(p)
-        if got is not None:
-            return got
-        with self._lock:
-            got = self._cache.get(p)
-            if got is None:
-                got = self._cache[p] = self._fn(p)
-            return got
+        return self._approx(p)
 
     @staticmethod
     def from_rational(q) -> "CReal":
@@ -165,21 +183,16 @@ def refine_until_decided(x: CReal, start: int, step: int,
     not.  The decided value is computed once and answers every precision;
     past the budget cap the search raises ``BudgetExhausted(message)``.
     """
-    state: list = []
+    def search(_) -> Fraction:
+        cap = budget_cap(4096)
+        for p in range(start, cap + 1, step):
+            got = decide(clamp01(x.approx(p)), pow2(-p))
+            if got is not None:
+                return got
+        raise BudgetExhausted(message, needed=cap)
 
-    def fn(q: int) -> Fraction:
-        if not state:
-            cap = budget_cap(4096)
-            for p in range(start, cap + 1, step):
-                got = decide(clamp01(x.approx(p)), pow2(-p))
-                if got is not None:
-                    state.append(got)
-                    break
-            else:
-                raise BudgetExhausted(message, needed=cap)
-        return state[0]
-
-    return CReal(fn)
+    decided = Memo(search)
+    return CReal(lambda q: decided(None))
 
 
 class Verdict(Enum):

@@ -18,7 +18,7 @@ from threading import RLock
 from typing import Callable, Optional, Sequence
 
 from .errors import BudgetExhausted, CertificationError, RegularityError
-from .exact import CReal, budget_cap, ceil_log2, clamp01, pow2
+from .exact import CReal, Memo, budget_cap, ceil_log2, clamp01, pow2
 from .polygonal import Polygonal
 
 ZERO = Fraction(0)
@@ -48,9 +48,20 @@ class RegularSeq:
     def __init__(self, gen: Callable[[int], Polygonal], name: str = "",
                  profile: Optional[Callable[[Fraction], Optional[TailProfile]]] = None,
                  always_zero: bool = False):
-        self._gen = gen
-        self._memo: dict[int, Polygonal] = {}
-        self._lock = RLock()
+        label = name or "sequence"
+
+        def checked(n: int) -> Polygonal:
+            h = gen(n)
+            if not h.is_nonneg():
+                raise RegularityError(f"term {n} of {label} takes negative values",
+                                      index=n)
+            if not h.integral() < pow2(-n):
+                raise RegularityError(
+                    f"term {n} of {label} has integral {h.integral()} >= 2^-{n}",
+                    index=n)
+            return h
+
+        self._terms = Memo(checked)
         self._profile = profile
         self.name = name
         # Marks sequences known to be identically zero, enabling shortcuts.
@@ -59,20 +70,7 @@ class RegularSeq:
     def term(self, n: int) -> Polygonal:
         if n < 0:
             raise ValueError("term index must be >= 0")
-        with self._lock:
-            got = self._memo.get(n)
-            if got is not None:
-                return got
-            h = self._gen(n)
-            if not h.is_nonneg():
-                raise RegularityError(
-                    f"term {n} of {self.name or 'sequence'} takes negative values", index=n)
-            if not h.integral() < pow2(-n):
-                raise RegularityError(
-                    f"term {n} of {self.name or 'sequence'} has integral "
-                    f"{h.integral()} >= 2^-{n}", index=n)
-            self._memo[n] = h
-            return h
+        return self._terms(n)
 
     def prefix(self, n: int) -> list:
         return [self.term(k) for k in range(n + 1)]
@@ -281,14 +279,10 @@ class _Bisection:
         self.lam = (1 + eps) / 2
         self.depth_cap = depth_cap
         self._lock = RLock()
-        self._pows = [ONE]
+        growth = 1 + eps
+        self._pow = Memo(lambda n: growth ** n)
         # chain entries: (lo, hi, K, margin)
         self.chain = [(ZERO, ONE, k0, self._margin(ZERO, ONE, k0))]
-
-    def _pow(self, n: int) -> Fraction:
-        while len(self._pows) <= n:
-            self._pows.append(self._pows[-1] * (1 + self.eps))
-        return self._pows[n]
 
     def tail(self, k: int) -> Fraction:
         return self.lam ** (k + 1) / (1 - self.lam)
@@ -405,12 +399,7 @@ def intersect_countable(rows: Callable[[int], RegularSeq] | Sequence[RegularSeq]
     else:
         row_fn = rows
 
-    memo: dict[int, RegularSeq] = {}
-
-    def row(n: int) -> RegularSeq:
-        if n not in memo:
-            memo[n] = row_fn(n)
-        return memo[n]
+    row = Memo(row_fn)
 
     def gen(k: int) -> Polygonal:
         top = k if zero_from is None else min(k, zero_from - 1)

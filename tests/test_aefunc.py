@@ -1,6 +1,8 @@
 """Summability, Lebesgue integrals, measurable sets, limit constructions."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -226,7 +228,7 @@ class TestLimitOfSummables:
         diagonal = [(n, k) for n, k in asked if n == k]
         assert diagonal == [(j + 2, j + 2) for j in range(7)]
         assert asked.index(diagonal[0]) == len(asked) - 7
-        assert set(range(6)) <= limit._checked
+        assert all(k in limit._gaps for k in range(6))
 
     def test_evaluator_converges_at_witness(self):
         tent = get_entry("tent").summable
@@ -422,6 +424,43 @@ class TestConcurrency:
             t.join()
         assert not errors
         assert all(r == results[0] for r in results)
+
+
+class TestFreedWithoutCollector:
+    """Memo tables compute from their owner's fields, not through the owner,
+    so sequences and summables are freed as soon as their last reference
+    goes, with the cyclic collector switched off."""
+
+    @staticmethod
+    def _freed(build, use) -> bool:
+        gc.disable()
+        try:
+            obj = build()
+            use(obj)
+            ref = weakref.ref(obj)
+            del obj
+            return ref() is None
+        finally:
+            gc.enable()
+
+    def test_regular_sequence(self):
+        assert self._freed(
+            lambda: RegularSeq(lambda n: Polygonal.tent(HALF, pow2(-(n + 1)), HALF),
+                               name="tents"),
+            lambda seq: seq.term(3))
+
+    def test_summable_from_polygonal(self):
+        assert self._freed(
+            lambda: Summable.from_polygonal(Polygonal.tent(HALF), name="tent"),
+            lambda s: s.integral(4))
+
+    def test_combined_summable(self):
+        def build():
+            f = Summable.from_polygonal(Polygonal.tent(HALF), name="f")
+            g = Summable.constant(F(-1, 4), name="g")
+            return (f + g).abs()
+
+        assert self._freed(build, lambda s: s.integral(4))
 
 
 class TestCertifyGap:

@@ -2,11 +2,14 @@
 
 import dataclasses
 import gc
+import os
 import random
+import subprocess
 import sys
 import threading
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +80,44 @@ class TestBridgeFor:
         assert all(b is got[0] for b in got)
 
 
+CATALOG_RACE = """
+import sys
+import threading
+
+from almostfull.catalog import CATALOG_NAMES, get_bridge, get_entry
+
+sys.setswitchinterval(1e-6)
+for name in CATALOG_NAMES:
+    start = threading.Barrier(8)
+    entries, bridges = [], []
+
+    def worker():
+        start.wait(timeout=10)
+        entries.append(get_entry(name))
+        bridges.append(get_bridge(name))
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive(), name
+    assert len(entries) == len(bridges) == 8, name
+    assert all(e is entries[0] for e in entries), f"{name}: several entries"
+    assert all(b is bridges[0] for b in bridges), f"{name}: several bridges"
+"""
+
+
+def test_concurrent_first_catalog_callers_share_entry_and_bridge():
+    # A fresh process, so that every call races to build its entry.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", CATALOG_RACE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestDelta:
     def test_full_for_total_function(self):
         d = bridge_for(get_entry("identity").function).delta(4)
@@ -129,6 +170,15 @@ class TestGamma:
 
 
 class TestTheta:
+    def test_deep_first_request(self):
+        # At level 60 the realized prefix is 298 sublevel sets deep; a first
+        # request stores the shorter prefixes in turn instead of recursing
+        # through all of them.
+        bridge = Bridge(get_entry("ae-step").function)
+        assert bridge.gamma_depth(60, 0) == 298
+        assert bridge.theta(0, 60, 0)
+        assert not bridge.theta(1 << 59, 60, 0)
+
     def test_full_set_positive(self):
         f = get_entry("identity").function
         for m in (1, 3, 5):

@@ -1,5 +1,7 @@
-"""Exact substrate: rationals, certified reals, soft comparison."""
+"""Exact substrate: rationals, certified reals, soft comparison, memo tables."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from almostfull import (BudgetExhausted, CReal, DyadicInterval, Verdict,
                         ceil_log2, from_ratstr, pow2, rat_approx, soft_compare,
                         to_ratstr)
-from almostfull.exact import refine_until_decided
+from almostfull.exact import Memo, refine_until_decided
 
 HALF = Fraction(1, 2)
 
@@ -164,3 +166,77 @@ class TestDyadicInterval:
             DyadicInterval(4, 2)
         with pytest.raises(ValueError):
             DyadicInterval(-1, 2)
+
+
+class TestMemo:
+    def test_concurrent_first_callers_share_one_value(self):
+        computed = []
+
+        def compute(key):
+            computed.append(key)
+            sum(range(20000))   # long enough for the other threads to arrive
+            return object()
+
+        memo = Memo(compute)
+        start = threading.Barrier(8)
+        got = [None] * 8
+
+        def worker(i):
+            start.wait(timeout=10)
+            got[i] = memo("k")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert computed == ["k"]
+        assert all(g is got[0] for g in got)
+
+    def test_failed_compute_stores_nothing_and_retries(self):
+        attempts = []
+
+        def compute(key):
+            attempts.append(key)
+            if len(attempts) == 1:
+                raise BudgetExhausted("first attempt fails", needed=1)
+            return key * 2
+
+        memo = Memo(compute)
+        with pytest.raises(BudgetExhausted):
+            memo(3)
+        assert 3 not in memo
+        assert memo(3) == 6
+        assert 3 in memo
+        assert attempts == [3, 3]
+
+    def test_entry_may_read_the_previous_entry(self):
+        calls = []
+
+        def compute(n):
+            calls.append(n)
+            return 0 if n == 0 else chain(n - 1) + 1
+
+        chain = Memo(compute)
+        assert chain(200) == 200
+        assert all(n in chain for n in range(201))
+        assert sorted(calls) == list(range(201))
+
+    def test_none_and_false_are_stored_values(self):
+        calls = []
+
+        def compute(key):
+            calls.append(key)
+            return None if key == "gap" else False
+
+        memo = Memo(compute)
+        for _ in range(3):
+            assert memo("gap") is None
+            assert memo("theta") is False
+        assert calls == ["gap", "theta"]

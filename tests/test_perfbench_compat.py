@@ -1,7 +1,7 @@
 """The benchmark's span tracer still attaches to the library.
 
 ``perfbench/tracer.py`` wraps a fixed set of library attributes (Bridge
-methods and its net memo, Summable and RegularSeq constructors by the
+methods and its net memo, whose misses count as net builds, Summable and RegularSeq constructors by the
 position of their generator argument, the bisection walk, and module
 functions such as ``rat_approx``, ``sublevel`` and ``cli.main``).  A
 refactor that renames or inlines one of them must fail here rather than in
@@ -40,6 +40,17 @@ traced("ae-step", ("bridge.net.calls", "bridge.net.built", "bridge.zeta.calls",
 # tent samples a polygonal at rational points: the exact sampling path.
 traced("tent", ("exact.rat_approx.calls", "polygonal.step_function.cells",
                 "polygonal.l1_upper.calls", "bridge.net.built"))
+
+# A repeated request is a memo hit: it counts as a call, not as a build.
+from almostfull import AEFunction, Bridge, NetIndex, Polygonal
+
+t.counts.clear()
+bridge = Bridge(AEFunction.from_polygonal(Polygonal.identity(), name="twice"))
+first = bridge.net(NetIndex.canonical(3))
+assert bridge.net(NetIndex.canonical(3)) is first
+assert t.counts["bridge.net.calls"] == 2, dict(t.counts)
+assert t.counts["bridge.net.built"] == 1, dict(t.counts)
+assert t.counts["bridge.net.cells"] == 8, dict(t.counts)
 """
 
 
