@@ -58,12 +58,13 @@ class Summable:
     ``approx(n)`` yields polygonals with ``integral |f_{n+1} - f_n| < 2**-n``,
     converging to the function on the almost-full set of its domain.  Decay
     bounds are verified exactly whenever two neighbouring terms have
-    materialized.  ``prefetch(n)``, when given, runs under the term lock
-    before term n is produced.
+    materialized.  ``prefetch(summable, n)``, when given, runs under the
+    term lock before term n is produced.
     """
 
     def __init__(self, base: AEFunction, approx: Callable[[int], Polygonal],
-                 name: str = "", prefetch: Optional[Callable[[int], None]] = None):
+                 name: str = "",
+                 prefetch: Optional[Callable[["Summable", int], None]] = None):
         self.base = base
         self.name = name or base.name
         terms = self._terms = Memo(approx)
@@ -97,7 +98,7 @@ class Summable:
         if self._prefetch is None:
             return self._term(n)
         with self._lock:
-            self._prefetch(n)
+            self._prefetch(self, n)
             return self._term(n)
 
     def _term(self, n: int) -> Polygonal:
@@ -374,7 +375,7 @@ def limit_of_summables(seq: Callable[[int], Summable],
     input_gaps = Memo(certify_input_gap)
     diag = Memo(lambda j: f(j + 2).term(j + 2))
 
-    def prefetch(n: int) -> None:
+    def prefetch(limit: Summable, n: int) -> None:
         for i in range(n + 2):
             input_gaps(i)
         limit.check_prefix(n - 1)
@@ -424,8 +425,7 @@ def limit_of_summables(seq: Callable[[int], Summable],
         return CReal(fn)
 
     base = AEFunction(dom, evaluator, name=name or "limit")
-    limit = Summable(base, diag, name=base.name, prefetch=prefetch)
-    return limit
+    return Summable(base, diag, name=base.name, prefetch=prefetch)
 
 
 def ae_zero_of_null_integral(f: Summable, p: int) -> RegularSeq:

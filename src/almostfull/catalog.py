@@ -68,9 +68,8 @@ def _square_summable(name: str = "square") -> Summable:
     """Interpolants of x**2 on 2**n uniform pieces; gaps are exactly 4**-n/8."""
 
     def term(n: int) -> Polygonal:
-        cells = 1 << n
-        xs = [Fraction(i, cells) for i in range(cells + 1)]
-        return Polygonal(tuple(xs), tuple(x * x for x in xs), _trusted=True)
+        nodes = range((1 << n) + 1)
+        return Polygonal.from_integers(nodes, 1 << n, [i * i for i in nodes], 1 << 2 * n)
 
     def evaluator(w: DomainWitness) -> CReal:
         def fn(p: int) -> Fraction:
@@ -118,8 +117,7 @@ def _step_summable(name: str = "ae-step") -> Summable:
 
     def term(n: int) -> Polygonal:
         w = ramp_width(n)
-        return Polygonal((ZERO, HALF, HALF + w, ONE), (ZERO, ZERO, ONE, ONE),
-                         _trusted=True)
+        return Polygonal((ZERO, HALF, HALF + w, ONE), (ZERO, ZERO, ONE, ONE))
 
     base = AEFunction(domain, evaluator, name=name)
     return Summable(base, term, name=name)

@@ -128,7 +128,16 @@ class CReal:
             raise ValueError("precision exponent must be >= 0")
         if self.rational is not None:
             return self.rational
-        return self._approx(p)
+        memo = self._approx
+        got = memo.get(p)
+        if got is None:
+            # Memo's miss path, inlined: a chain of nested reals then recurses
+            # through approx and fn alone, two frames per level.
+            with memo._lock:
+                got = memo.get(p)
+                if got is None:
+                    got = memo[p] = memo._compute(p)
+        return got
 
     @staticmethod
     def from_rational(q) -> "CReal":

@@ -2,20 +2,25 @@
 
 A ``Polygonal`` is determined by strictly increasing rational breakpoints
 ``0 = t0 < ... < tM = 1`` and rational values, interpolated linearly in
-between.  All operations (evaluation, integrals, lattice and linear
-combinations, sublevel sets) are computed exactly in rational arithmetic.
-Instances are canonicalized by dropping interior breakpoints that lie on the
-segment through their neighbours, so equality of objects is equality of
-functions.
+between.  It stores its nodes as integers over two common denominators:
+breakpoint i is ``x[i] / xd`` and its value ``v[i] / vd``, where ``xd`` and
+``vd`` are the lcm of the breakpoints' and of the values' denominators.
+Evaluation, integrals, lattice and linear combinations and sublevel sets
+are integer arithmetic on these numerators, with a ``Fraction`` built only
+for the result.  The form is canonical (interior nodes on the segment
+through their neighbours are dropped, both denominators are reduced), so
+equality of objects is equality of functions.  ``xs`` and ``vs`` view the
+nodes as tuples of ``Fraction``, built on first use.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import compress, count, repeat
 from math import gcd, lcm
-from operator import sub
+from operator import add, lt, mul, ne, sub
 from typing import Iterable, Sequence
 
 from .exact import (CReal, DyadicInterval, ceil_log2, clamp01, pow2, to_ratstr,
@@ -28,37 +33,42 @@ ONE = Fraction(1)
 class Polygonal:
     """Continuous piecewise-linear function on [0, 1] with exact arithmetic."""
 
-    __slots__ = ("xs", "vs", "_integral", "_lipschitz", "_canon", "_slopes")
+    __slots__ = ("_x", "_xd", "_v", "_vd", "_integral", "_lipschitz", "_xs", "_vs")
 
-    def __init__(self, xs: Sequence, vs: Sequence, _trusted: bool = False):
-        if not _trusted:
-            xs = tuple(Fraction(x) for x in xs)
-            vs = tuple(Fraction(v) for v in vs)
-            if len(xs) != len(vs) or len(xs) < 2:
-                raise ValueError("need matching breakpoints and values, at least two")
-            if xs[0] != 0 or xs[-1] != 1:
-                raise ValueError("breakpoints must start at 0 and end at 1")
-            for a, b in zip(xs, xs[1:]):
-                if not a < b:
-                    raise ValueError("breakpoints must be strictly increasing")
-            xs, vs = _drop_collinear(xs, vs)
-        self.xs = tuple(xs)
-        self.vs = tuple(vs)
-        self._integral = None
-        self._lipschitz = None
-        self._canon = None
-        self._slopes = None
+    def __init__(self, xs: Sequence, vs: Sequence):
+        xs = [Fraction(x) for x in xs]
+        vs = [Fraction(v) for v in vs]
+        if len(xs) != len(vs) or len(xs) < 2:
+            raise ValueError("need matching breakpoints and values, at least two")
+        if xs[0] != 0 or xs[-1] != 1:
+            raise ValueError("breakpoints must start at 0 and end at 1")
+        if not all(map(lt, xs, xs[1:])):
+            raise ValueError("breakpoints must be strictly increasing")
+        xd = lcm(*(t.denominator for t in xs))
+        vd = lcm(*(t.denominator for t in vs))
+        self._set(*_reduced(*_kinks([t.numerator * (xd // t.denominator) for t in xs], xd,
+                                    [t.numerator * (vd // t.denominator) for t in vs], vd)))
+
+    def _set(self, x, xd, v, vd) -> None:
+        self._x, self._xd, self._v, self._vd = x, xd, v, vd
+        self._integral = self._lipschitz = self._xs = self._vs = None
 
     # -- construction helpers -------------------------------------------------
 
-    @classmethod
-    def constant(cls, c) -> "Polygonal":
-        c = Fraction(c)
-        return cls((ZERO, ONE), (c, c), _trusted=True)
+    @staticmethod
+    def from_integers(x: Sequence[int], xd: int, v: Sequence[int],
+                      vd: int) -> "Polygonal":
+        """Nodes ``(x[i] / xd, v[i] / vd)``; x strictly increasing from 0 to xd."""
+        return _of_kinks(*_kinks(x, xd, v, vd))
 
-    @classmethod
-    def identity(cls) -> "Polygonal":
-        return cls((ZERO, ONE), (ZERO, ONE), _trusted=True)
+    @staticmethod
+    def constant(c) -> "Polygonal":
+        c = Fraction(c)
+        return _of_kinks((0, 1), 1, (c.numerator, c.numerator), c.denominator)
+
+    @staticmethod
+    def identity() -> "Polygonal":
+        return _of_kinks((0, 1), 1, (0, 1), 1)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable) -> "Polygonal":
@@ -83,7 +93,23 @@ class Polygonal:
                 vs.append(h if t == c else ZERO)
         xs.append(ONE)
         vs.append(h * (1 - (1 - c) / w) if 1 - c < w else ZERO)
-        return cls(tuple(xs), tuple(vs), _trusted=True)
+        return cls(xs, vs)
+
+    # -- rational views ----------------------------------------------------------
+
+    @property
+    def xs(self) -> tuple:
+        """Breakpoints as rationals."""
+        if self._xs is None:
+            self._xs = tuple(map(Fraction, self._x, repeat(self._xd)))
+        return self._xs
+
+    @property
+    def vs(self) -> tuple:
+        """Values at the breakpoints as rationals."""
+        if self._vs is None:
+            self._vs = tuple(map(Fraction, self._v, repeat(self._vd)))
+        return self._vs
 
     # -- basic queries ---------------------------------------------------------
 
@@ -91,25 +117,30 @@ class Polygonal:
         """Exact value at a rational point of [0, 1]."""
         if type(x) is not Fraction:
             x = Fraction(x)
-        if not 0 <= x <= 1:
+        p, q = x.numerator, x.denominator
+        if not 0 <= p <= q:
             raise ValueError(f"point {x} outside [0, 1]")
-        xs = self.xs
-        i = bisect_right(xs, x) - 1
-        if i >= len(xs) - 1:
-            return self.vs[-1]
+        xs, v = self._x, self._v
+        px = p * self._xd
+        i = bisect_right(xs, px // q) - 1
         x0 = xs[i]
-        if x == x0:
-            return self.vs[i]
-        return self.vs[i] + self._seg_slopes()[i] * (x - x0)
+        if x0 * q == px:
+            return Fraction(v[i], self._vd)
+        x1 = xs[i + 1]
+        return Fraction(v[i] * (x1 * q - px) + v[i + 1] * (px - x0 * q),
+                        self._vd * q * (x1 - x0))
+
+    def _trapezoids(self, i: int, j: int) -> int:
+        """Twice the integral from node i to node j, as a numerator over ``xd * vd``."""
+        x, v = self._x, self._v
+        return sum(map(mul, map(sub, x[i + 1:j + 1], x[i:j]),
+                       map(add, v[i:j], v[i + 1:j + 1])))
 
     def integral(self) -> Fraction:
         """Exact integral over [0, 1] (trapezoid sum)."""
         if self._integral is None:
-            total = ZERO
-            xs, vs = self.xs, self.vs
-            for i in range(len(xs) - 1):
-                total += (xs[i + 1] - xs[i]) * (vs[i] + vs[i + 1])
-            self._integral = total / 2
+            self._integral = Fraction(self._trapezoids(0, len(self._x) - 1),
+                                      2 * self._xd * self._vd)
         return self._integral
 
     def integral_on(self, lo, hi) -> Fraction:
@@ -121,69 +152,58 @@ class Polygonal:
             return ZERO
         if lo == 0 and hi == 1:
             return self.integral()
-        xs, vs = self.xs, self.vs
-        i = bisect_right(xs, lo) - 1
-        total = ZERO
-        prev_x, prev_v = lo, self.eval(lo)
-        j = i + 1
-        while j < len(xs) and xs[j] < hi:
-            total += (xs[j] - prev_x) * (prev_v + vs[j])
-            prev_x, prev_v = xs[j], vs[j]
-            j += 1
-        total += (hi - prev_x) * (prev_v + self.eval(hi))
-        return total / 2
+        x, xd, v, vd = self._x, self._xd, self._v, self._vd
+        # x[i..j] are the breakpoints strictly inside (lo, hi).
+        i = bisect_right(x, lo.numerator * xd // lo.denominator)
+        j = bisect_left(x, -(-hi.numerator * xd // hi.denominator)) - 1
+        f_lo, f_hi = self.eval(lo), self.eval(hi)
+        if i > j:
+            return (hi - lo) * (f_lo + f_hi) / 2
+        xi, xj = Fraction(x[i], xd), Fraction(x[j], xd)
+        inner = Fraction(self._trapezoids(i, j), xd * vd)
+        return (inner + (xi - lo) * (f_lo + Fraction(v[i], vd))
+                + (hi - xj) * (Fraction(v[j], vd) + f_hi)) / 2
 
     def lipschitz(self) -> Fraction:
         """Largest absolute slope; 0 for constants."""
         if self._lipschitz is None:
-            best = ZERO
-            xs, vs = self.xs, self.vs
-            for i in range(len(xs) - 1):
-                s = abs(vs[i + 1] - vs[i]) / (xs[i + 1] - xs[i])
-                if s > best:
-                    best = s
-            self._lipschitz = best
+            x, v = self._x, self._v
+            rise, run = 0, 1
+            for dx, dv in zip(map(sub, x[1:], x[:-1]), map(sub, v[1:], v[:-1])):
+                if abs(dv) * run > rise * dx:
+                    rise, run = abs(dv), dx
+            self._lipschitz = Fraction(rise * self._xd, run * self._vd)
         return self._lipschitz
 
     def min_value(self) -> Fraction:
-        return min(self.vs)
+        return Fraction(min(self._v), self._vd)
 
     def max_value(self) -> Fraction:
-        return max(self.vs)
+        return Fraction(max(self._v), self._vd)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.vs)
+        return not any(self._v)
 
     def is_nonneg(self) -> bool:
-        return self.min_value() >= 0
-
-    def _nodes(self):
-        """Canonical node tuples: collinear interior nodes removed, cached."""
-        if self._canon is None:
-            self._canon = _drop_collinear(self.xs, self.vs)
-        return self._canon
-
-    def _seg_slopes(self):
-        if self._slopes is None:
-            xs, vs = self.xs, self.vs
-            self._slopes = tuple(
-                (vs[i + 1] - vs[i]) / (xs[i + 1] - xs[i])
-                for i in range(len(xs) - 1))
-        return self._slopes
+        return min(self._v) >= 0
 
     # -- algebra ---------------------------------------------------------------
 
     def __add__(self, other: "Polygonal") -> "Polygonal":
-        grid, va, vb = _merge(self, other)
-        return Polygonal(grid, tuple(a + b for a, b in zip(va, vb)), _trusted=True)
+        x, xd, a, b, vd = _merge(self, other)
+        return Polygonal.from_integers(x, xd, list(map(add, a, b)), vd)
 
     def __sub__(self, other: "Polygonal") -> "Polygonal":
-        grid, va, vb = _merge(self, other)
-        return Polygonal(grid, tuple(a - b for a, b in zip(va, vb)), _trusted=True)
+        x, xd, a, b, vd = _merge(self, other)
+        return Polygonal.from_integers(x, xd, list(map(sub, a, b)), vd)
 
     def __mul__(self, c) -> "Polygonal":
         c = Fraction(c)
-        return Polygonal(self.xs, tuple(c * v for v in self.vs), _trusted=True)
+        if c == 0:
+            return Polygonal.constant(0)
+        cn = c.numerator
+        return _of_kinks(self._x, self._xd, [t * cn for t in self._v],
+                         self._vd * c.denominator)
 
     __rmul__ = __mul__
 
@@ -191,16 +211,18 @@ class Polygonal:
         return self * -1
 
     def __abs__(self) -> "Polygonal":
-        grid, va = _with_roots(self.xs, self.vs)
-        return Polygonal(grid, tuple(abs(v) for v in va), _trusted=True)
+        v = self._v
+        # The absolute value of a canonical function keeps every kink.
+        return _with_crossings(self._x, self._xd, list(map(abs, v)), v, v, self._vd,
+                               _of_kinks)
 
     def min_with(self, other: "Polygonal") -> "Polygonal":
-        grid, va, vb = _merge_with_crossings(self, other)
-        return Polygonal(grid, tuple(min(a, b) for a, b in zip(va, vb)), _trusted=True)
+        x, xd, a, b, vd = _merge(self, other)
+        return _with_crossings(x, xd, list(map(min, a, b)), a, list(map(sub, a, b)), vd)
 
     def max_with(self, other: "Polygonal") -> "Polygonal":
-        grid, va, vb = _merge_with_crossings(self, other)
-        return Polygonal(grid, tuple(max(a, b) for a, b in zip(va, vb)), _trusted=True)
+        x, xd, a, b, vd = _merge(self, other)
+        return _with_crossings(x, xd, list(map(max, a, b)), a, list(map(sub, a, b)), vd)
 
     # -- evaluation at certified reals ------------------------------------------
 
@@ -235,143 +257,167 @@ class Polygonal:
     # -- dunder plumbing -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        """Equality of functions: canonical node forms are compared."""
+        """Equality of functions: the canonical integer nodes are compared."""
         if not isinstance(other, Polygonal):
             return NotImplemented
-        return self._nodes() == other._nodes()
+        return (self._xd == other._xd and self._vd == other._vd
+                and self._x == other._x and self._v == other._v)
 
     def __hash__(self):
-        return hash(self._nodes())
+        return hash((self._x, self._xd, self._v, self._vd))
 
     def __repr__(self):
-        if len(self.xs) <= 6:
+        if len(self._x) <= 6:
             pts = ", ".join(f"({t}, {v})" for t, v in zip(self.xs, self.vs))
         else:
-            pts = f"{len(self.xs)} nodes"
+            pts = f"{len(self._x)} nodes"
         return f"Polygonal({pts})"
 
 
-def _drop_collinear(xs, vs):
-    """Remove interior nodes lying on the segment through their neighbours."""
-    n = len(xs)
-    if n <= 2:
-        return tuple(xs), tuple(vs)
-    keep_x = [xs[0]]
-    keep_v = [vs[0]]
-    for i in range(1, n - 1):
-        x0, v0 = keep_x[-1], keep_v[-1]
-        if (vs[i] - v0) * (xs[i + 1] - x0) == (vs[i + 1] - v0) * (xs[i] - x0):
-            continue
-        keep_x.append(xs[i])
-        keep_v.append(vs[i])
-    keep_x.append(xs[-1])
-    keep_v.append(vs[-1])
-    return tuple(keep_x), tuple(keep_v)
+def _kinks(x, xd, v, vd):
+    """Drop the interior nodes that lie on the segment through their neighbours.
+
+    A node is dropped when the slopes on its two sides agree; its original
+    neighbours decide this even when they are dropped too, since a dropped
+    node passes its slope on.
+    """
+    if len(x) > 2:
+        dx = list(map(sub, x[1:], x[:-1]))
+        dv = list(map(sub, v[1:], v[:-1]))
+        keep = list(map(ne, map(mul, dv[:-1], dx[1:]), map(mul, dv[1:], dx[:-1])))
+        if not all(keep):
+            x = [x[0], *compress(x[1:-1], keep), x[-1]]
+            v = [v[0], *compress(v[1:-1], keep), v[-1]]
+    return x, xd, v, vd
+
+
+def _lowest(nums, den):
+    """Numerators and their denominator divided by the gcd of all of them."""
+    g = gcd(den, *nums)
+    return tuple([t // g for t in nums] if g > 1 else nums), den // g
+
+
+def _reduced(x, xd, v, vd):
+    """Canonical form of nodes that are all kinks: both denominators reduced."""
+    return (*_lowest(x, xd), *_lowest(v, vd))
+
+
+def _of_kinks(x, xd, v, vd) -> Polygonal:
+    out = object.__new__(Polygonal)
+    out._set(*_reduced(x, xd, v, vd))
+    return out
 
 
 def _merge(a: Polygonal, b: Polygonal):
-    """Common refinement grid with both value sequences."""
-    ax, av = a.xs, a.vs
-    bx, bv = b.xs, b.vs
-    grid, va, vb = [], [], []
-    i = j = 0
-    na, nb = len(ax), len(bx)
-    while i < na or j < nb:
-        if j >= nb or (i < na and ax[i] <= bx[j]):
-            x = ax[i]
-        else:
-            x = bx[j]
-        grid.append(x)
-        if i < na and ax[i] == x:
-            va.append(av[i])
-            i += 1
-        else:
-            x0, x1 = ax[i - 1], ax[i]
-            va.append(av[i - 1] + (av[i] - av[i - 1]) * (x - x0) / (x1 - x0))
-        if j < nb and bx[j] == x:
-            vb.append(bv[j])
-            j += 1
-        else:
-            x0, x1 = bx[j - 1], bx[j]
-            vb.append(bv[j - 1] + (bv[j] - bv[j - 1]) * (x - x0) / (x1 - x0))
-    return tuple(grid), tuple(va), tuple(vb)
+    """Common refinement of two polygonals, in integers.
+
+    Returns ``(grid, xd, va, vb, vd)``: the union of both breakpoint sets as
+    numerators over ``xd``, the lcm of the x-denominators, and both
+    functions' values at every grid point as numerators over one ``vd``.
+    """
+    xd = lcm(a._xd, b._xd)
+    ax = a._x if xd == a._xd else tuple(map(mul, a._x, repeat(xd // a._xd)))
+    bx = b._x if xd == b._xd else tuple(map(mul, b._x, repeat(xd // b._xd)))
+    if ax == bx:
+        grid, at = ax, None
+    else:
+        grid = sorted(set(ax).union(bx))
+        at = dict(zip(grid, count()))
+    va, da = _resample(ax, a._v, a._vd, grid, at)
+    vb, db = _resample(bx, b._v, b._vd, grid, at)
+    vd = lcm(da, db)
+    if vd != da:
+        va = list(map(mul, va, repeat(vd // da)))
+    if vd != db:
+        vb = list(map(mul, vb, repeat(vd // db)))
+    return grid, xd, va, vb, vd
 
 
-def _with_roots(xs, vs):
-    """Insert zero crossings so the sign of v is constant on each segment."""
-    grid, vals = [xs[0]], [vs[0]]
-    for i in range(len(xs) - 1):
-        v0, v1 = vs[i], vs[i + 1]
-        if (v0 > 0 > v1) or (v0 < 0 < v1):
-            t = xs[i] + (xs[i + 1] - xs[i]) * v0 / (v0 - v1)
-            grid.append(t)
-            vals.append(ZERO)
-        grid.append(xs[i + 1])
-        vals.append(v1)
-    return tuple(grid), tuple(vals)
+def _resample(x, v, vd, grid, at):
+    """Values at every point of ``grid``, a superset of the nodes ``x``.
+
+    ``at`` maps grid points to their positions.  A grid point inside the
+    segment from ``x0`` to ``x1`` gets ``(v0 (x1 - t) + v1 (t - x0)) / (x1 - x0)``;
+    in a second pass every value is brought over ``vd`` times the lcm of the
+    split segments' widths.  Returns the numerators and that denominator.
+    """
+    if len(x) == len(grid):
+        return v, vd
+    pos = list(map(at.__getitem__, x))
+    splits = list(compress(count(), map(lt, repeat(1), map(sub, pos[1:], pos[:-1]))))
+    scale = lcm(*(x[k + 1] - x[k] for k in splits))
+    sv = v if scale == 1 else list(map(mul, v, repeat(scale)))
+    out, done = [], 0
+    for k in splits:
+        x0, x1, v0, v1 = x[k], x[k + 1], v[k], v[k + 1]
+        f = scale // (x1 - x0)
+        c0, c1 = (v0 * x1 - v1 * x0) * f, (v1 - v0) * f
+        out += sv[done:k + 1]
+        out += [c0 + c1 * t for t in grid[pos[k] + 1:pos[k + 1]]]
+        done = k + 1
+    out += sv[done:]
+    return out, vd * scale
 
 
-def _merge_with_crossings(a: Polygonal, b: Polygonal):
-    """Common refinement including points where a - b changes sign."""
-    grid, va, vb = _merge(a, b)
-    out_x, out_a, out_b = [grid[0]], [va[0]], [vb[0]]
-    for i in range(len(grid) - 1):
-        d0 = va[i] - vb[i]
-        d1 = va[i + 1] - vb[i + 1]
-        if (d0 > 0 > d1) or (d0 < 0 < d1):
-            t = grid[i] + (grid[i + 1] - grid[i]) * d0 / (d0 - d1)
-            dx = grid[i + 1] - grid[i]
-            cross = va[i] + (va[i + 1] - va[i]) * (t - grid[i]) / dx
-            out_x.append(t)
-            out_a.append(cross)
-            out_b.append(cross)
-        out_x.append(grid[i + 1])
-        out_a.append(va[i + 1])
-        out_b.append(vb[i + 1])
-    return tuple(out_x), tuple(out_a), tuple(out_b)
+def _sign_changes(d):
+    """Indices k where d changes sign strictly between k and k + 1."""
+    return compress(count(), map(lt, map(mul, d[:-1], d[1:]), repeat(0)))
+
+
+def _with_crossings(x, xd, out, a, d, vd, make=Polygonal.from_integers) -> Polygonal:
+    """Nodes ``x`` with values ``out``, plus a node wherever d changes sign.
+
+    On a segment where d goes from d0 to d1 of the other sign, the crossing
+    is at ``(x1 d0 - x0 d1) / (d0 - d1)`` and takes a's value there,
+    ``(a1 d0 - a0 d1) / (d0 - d1)``, over the denominators ``xd`` and ``vd``.
+    Each crossing is reduced by its gcd, then all are brought to one pair of
+    denominators; ``make`` builds the result.
+    """
+    pts = []
+    for k in _sign_changes(d):
+        d0, d1 = d[k], d[k + 1]
+        e = d0 - d1
+        tn, vn = x[k + 1] * d0 - x[k] * d1, a[k + 1] * d0 - a[k] * d1
+        if e < 0:
+            e, tn, vn = -e, -tn, -vn
+        gt, gv = gcd(tn, e), gcd(vn, e)
+        pts.append((k, tn // gt, e // gt, vn // gv, e // gv))
+    if not pts:
+        return make(x, xd, out, vd)
+    mx = lcm(*(p[2] for p in pts))
+    mv = lcm(*(p[4] for p in pts))
+    sx = x if mx == 1 else list(map(mul, x, repeat(mx)))
+    sv = out if mv == 1 else list(map(mul, out, repeat(mv)))
+    nx, nv, done = [], [], 0
+    for k, tn, te, vn, ve in pts:
+        nx += sx[done:k + 1]
+        nx.append(tn * (mx // te))
+        nv += sv[done:k + 1]
+        nv.append(vn * (mv // ve))
+        done = k + 1
+    nx += sx[done:]
+    nv += sv[done:]
+    return make(nx, xd * mx, nv, vd * mv)
 
 
 def l1_distance(a: Polygonal, b: Polygonal) -> Fraction:
     """Exact ``integral |a - b|`` in one pass, without building a - b.
 
-    Walks the merged grid stepping both functions by their segment slopes;
-    sign changes inside a segment are integrated by the two-triangle formula,
-    so only crossing segments pay a division.
+    Sums over the common grid in integers.  Where ``d = a - b`` keeps its
+    sign on a segment, ``|d0 + d1| dx / 2`` is exact; where it changes sign
+    the two triangles give ``dx (d0^2 + d1^2) / (2 (|d0| + |d1|))``, so only
+    crossing segments pay a division.
     """
-    ax, av = a.xs, a.vs
-    bx, bv = b.xs, b.vs
-    sa = a._seg_slopes()
-    sb = b._seg_slopes()
-    ia = ib = 0
-    x = ax[0]
-    va, vb = av[0], bv[0]
-    total = ZERO
-    last_a = len(ax) - 1
-    last_b = len(bx) - 1
-    while ia < last_a or ib < last_b:
-        na = ax[ia + 1] if ia < last_a else ONE
-        nb = bx[ib + 1] if ib < last_b else ONE
-        nxt = na if na <= nb else nb
-        dx = nxt - x
-        va1 = av[ia + 1] if nxt == na else va + sa[ia] * dx
-        vb1 = bv[ib + 1] if nxt == nb else vb + sb[ib] * dx
-        d0 = va - vb
-        d1 = va1 - vb1
-        s0 = d0.numerator
-        s1 = d1.numerator
-        if s0 == 0 and s1 == 0:
-            pass
-        elif (s0 >= 0 and s1 >= 0) or (s0 <= 0 and s1 <= 0):
-            total += abs(d0 + d1) * dx
-        else:
-            total += dx * (d0 * d0 + d1 * d1) / (abs(d0) + abs(d1))
-        if nxt == na:
-            ia += 1
-        if nxt == nb:
-            ib += 1
-        x = nxt
-        va, vb = va1, vb1
-    return total / 2
+    x, xd, va, vb, vd = _merge(a, b)
+    d = list(map(sub, va, vb))
+    dx = list(map(sub, x[1:], x[:-1]))
+    total = sum(map(mul, map(abs, map(add, d[:-1], d[1:])), dx))
+    crossings = ZERO
+    for k in _sign_changes(d):
+        d0, d1 = d[k], d[k + 1]
+        total -= abs(d0 + d1) * dx[k]
+        crossings += Fraction(dx[k] * (d0 * d0 + d1 * d1), abs(d0) + abs(d1))
+    return (crossings + total) / (2 * xd * vd)
 
 
 class IntervalUnion:
@@ -497,26 +543,26 @@ def sublevel(h: Polygonal, theta) -> IntervalUnion:
     theta = Fraction(theta)
     if theta <= 0:
         raise ValueError("threshold must be positive")
-    xs, vs = h.xs, h.vs
-    raw = []
-    for i in range(len(xs) - 1):
-        x0, x1 = xs[i], xs[i + 1]
-        v0, v1 = vs[i], vs[i + 1]
-        if v0 < theta and v1 < theta:
-            raw.append((x0, x1))
-        elif v0 < theta <= v1:
-            r = x0 + (x1 - x0) * (theta - v0) / (v1 - v0)
-            raw.append((x0, r))
-        elif v1 < theta <= v0:
-            r = x0 + (x1 - x0) * (theta - v0) / (v1 - v0)
-            raw.append((r, x1))
-    merged = []
-    for a, b in raw:
-        if merged and merged[-1][1] == a and h.eval(a) < theta:
-            merged[-1][1] = b
+    # h < theta at node i exactly when w[i] < top.
+    x, xd = h._x, h._xd
+    top = theta.numerator * h._vd
+    w = list(map(mul, h._v, repeat(theta.denominator)))
+    out = []
+    start = ZERO if w[0] < top else None
+    for i in range(len(x) - 1):
+        w0, w1 = w[i], w[i + 1]
+        if (w0 < top) == (w1 < top):
+            continue
+        # h crosses theta on this segment (at a node when it touches it there).
+        r = Fraction(x[i] * (w1 - top) + x[i + 1] * (top - w0), xd * (w1 - w0))
+        if start is None:
+            start = r
         else:
-            merged.append([a, b])
-    return IntervalUnion((a, b) for a, b in merged)
+            out.append((start, r))
+            start = None
+    if start is not None:
+        out.append((start, ONE))
+    return IntervalUnion(out, _trusted=True)
 
 
 def indicator_approx(interval, j: int) -> Polygonal:
@@ -547,52 +593,43 @@ def union_indicator(union: IntervalUnion, j: int) -> Polygonal:
 
 
 def _union_indicator(components, j: int) -> Polygonal:
-    xs = [ZERO]
-    vs = [ZERO]
-
-    def push(x, v):
-        if x == xs[-1]:
-            if v != vs[-1]:
-                raise ValueError("conflicting node values")
-            return
-        xs.append(x)
-        vs.append(v)
-
+    # Over den * 2**s, the ramps of (a, b) end at a + w = (a (2**s - 1) + b) / 2**s
+    # and start at b - w = (b (2**s - 1) + a) / 2**s.
+    s = j + 2
+    den = lcm(*(t.denominator for iv in components for t in iv))
+    ramp = (1 << s) - 1
+    x, v = [0], [0]
     for a, b in components:
-        w = (b - a) * pow2(-(j + 2))
-        push(a, ZERO)
-        push(a + w, ONE)
-        push(b - w, ONE)
-        push(b, ZERO)
-    push(ONE, ZERO)
-    return Polygonal(tuple(xs), tuple(vs), _trusted=True)
+        a = a.numerator * (den // a.denominator)
+        b = b.numerator * (den // b.denominator)
+        for t, h in ((a << s, 0), (a * ramp + b, 1), (b * ramp + a, 1), (b << s, 0)):
+            if t != x[-1]:
+                x.append(t)
+                v.append(h)
+    if x[-1] != den << s:
+        x.append(den << s)
+        v.append(0)
+    return _of_kinks(x, den << s, v, 1)
 
 
 def _step_nodes(plateaus: "Plateaus", m: int, j: int):
-    cell = pow2(-m)
-    w = cell * pow2(-(j + 2))
-    den = plateaus.den
-    xs = [ZERO]
-    vs = [ZERO]
+    """Integer nodes of a step profile, in units of the ramp width ``2**-(m+j+2)``."""
+    s = j + 2
+    cell = 1 << s
+    x, v = [0], [0]
     for l, num in enumerate(plateaus.nums):
         if num == 0:
             continue
-        c = Fraction(num, den)
-        a = l * cell
-        b = a + cell
-        if a != xs[-1]:
-            xs.append(a)
-            vs.append(ZERO)
-        xs.append(a + w)
-        vs.append(c)
-        xs.append(b - w)
-        vs.append(c)
-        xs.append(b)
-        vs.append(ZERO)
-    if xs[-1] != 1:
-        xs.append(ONE)
-        vs.append(ZERO)
-    return tuple(xs), tuple(vs)
+        a = l << s
+        if a != x[-1]:
+            x.append(a)
+            v.append(0)
+        x += (a + 1, a + cell - 1, a + cell)
+        v += (num, num, 0)
+    if x[-1] != cell << m:
+        x.append(cell << m)
+        v.append(0)
+    return x, cell << m, v, plateaus.den
 
 
 class Plateaus:
@@ -628,8 +665,8 @@ class StepPolygonal(Polygonal):
     Stores the cell values as ``Plateaus`` (integer numerators over one
     common denominator) plus the ramp grid index; integrals, evaluation and
     L1 comparisons against other step profiles run off that metadata in
-    integer arithmetic, and the explicit node arrays are materialized only
-    when some generic polygonal operation asks for them.
+    integer arithmetic, and the integer nodes are materialized only when
+    some generic polygonal operation asks for them.
     """
 
     __slots__ = ("coeffs", "level", "ramp_exp")
@@ -644,17 +681,13 @@ class StepPolygonal(Polygonal):
         self.coeffs = coeffs
         self.level = level
         self.ramp_exp = ramp_exp
-        self._integral = None
-        self._lipschitz = None
-        self._canon = None
-        self._slopes = None
+        self._integral = self._lipschitz = self._xs = self._vs = None
 
     def __getattr__(self, name):
-        if name in ("xs", "vs"):
-            xs, vs = _step_nodes(self.coeffs, self.level, self.ramp_exp)
-            self.xs = xs
-            self.vs = vs
-            return xs if name == "xs" else vs
+        if name in ("_x", "_xd", "_v", "_vd"):
+            nodes = _reduced(*_kinks(*_step_nodes(self.coeffs, self.level, self.ramp_exp)))
+            self._x, self._xd, self._v, self._vd = nodes
+            return getattr(self, name)
         raise AttributeError(name)
 
     @property
@@ -678,25 +711,24 @@ class StepPolygonal(Polygonal):
     def eval(self, x) -> Fraction:
         if type(x) is not Fraction:
             x = Fraction(x)
-        if not 0 <= x <= 1:
+        p, q = x.numerator, x.denominator
+        if not 0 <= p <= q:
             raise ValueError(f"point {x} outside [0, 1]")
-        m = self.level
-        idx = int(x * (1 << m))
+        m, bits = self.level, self._ramp_bits
+        idx = (p << m) // q
         if idx == (1 << m):
             return ZERO
         num = self.coeffs.nums[idx]
         if num == 0:
             return ZERO
-        c = Fraction(num, self.coeffs.den)
-        lo = Fraction(idx, 1 << m)
-        off = x - lo
-        w = self.ramp_width
-        cell = pow2(-m)
-        if off <= w:
-            return c * off / w
-        if off >= cell - w:
-            return c * (cell - off) / w
-        return c
+        # The offset into the cell is off / q ramp widths; a cell is span of them.
+        span = 1 << (bits - m)
+        off = (p << bits) - idx * span * q
+        if off <= q:
+            return Fraction(num * off, self.coeffs.den * q)
+        if off >= (span - 1) * q:
+            return Fraction(num * (span * q - off), self.coeffs.den * q)
+        return Fraction(num, self.coeffs.den)
 
     def min_value(self) -> Fraction:
         worst = min(self.coeffs.nums)

@@ -176,9 +176,9 @@ def point_avoiding_seq(points: Sequence, name: str = "") -> RegularSeq:
 
     def bump(p: Fraction, w: Fraction) -> Polygonal:
         if p == 0:
-            return Polygonal((ZERO, w, ONE), (ONE, ZERO, ZERO), _trusted=True)
+            return Polygonal((ZERO, w, ONE), (ONE, ZERO, ZERO))
         if p == 1:
-            return Polygonal((ZERO, 1 - w, ONE), (ZERO, ZERO, ONE), _trusted=True)
+            return Polygonal((ZERO, 1 - w, ONE), (ZERO, ZERO, ONE))
         return Polygonal.tent(p, ONE, w)
 
     def gen(k: int) -> Polygonal:

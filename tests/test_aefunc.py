@@ -462,6 +462,11 @@ class TestFreedWithoutCollector:
 
         assert self._freed(build, lambda s: s.integral(4))
 
+    def test_limit_of_summables(self):
+        tent = get_entry("tent").summable
+        assert self._freed(lambda: limit_of_summables(lambda n: tent),
+                           lambda s: s.term(3))
+
 
 class TestCertifyGap:
     def test_certified_depth_returned(self):

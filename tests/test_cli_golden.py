@@ -21,6 +21,8 @@ BUMP = f"poly:{GOLDEN / 'bump.json'}"
 CASES = [
     ("integrate-square-p12", ["integrate", "--function", "square",
                               "--precision", "12"], 0),
+    ("integrate-square-p16", ["integrate", "--function", "square",
+                              "--precision", "16"], 0),
     ("integrate-ae-step-net-p8", ["integrate", "--function", "ae-step",
                                   "--method", "riemann-net", "--precision", "8"], 0),
     ("integrate-identity-net-p4", ["integrate", "--function", "identity",

@@ -90,6 +90,13 @@ class TestCReal:
         with pytest.raises(ValueError):
             rat_approx(CReal.from_rational(0), -1)
 
+    def test_deep_nesting_within_default_recursion_limit(self):
+        # A memo miss costs approx and the real's fn: two frames per level.
+        x = CReal(lambda p: Fraction(1, 3))
+        for _ in range(400):
+            x = -x
+        assert x.approx(4) == Fraction(1, 3)
+
 
 class TestExactReal:
     @given(rationals)

@@ -342,3 +342,184 @@ class TestSerialization:
     def test_wire_format_is_rational_strings(self):
         pairs = TENT.to_pairs()
         assert pairs == [["0/1", "0/1"], ["1/2", "1/1"], ["1/1", "0/1"]]
+
+
+# Reference Fraction loops for the integer node form: the node-by-node
+# rational algorithms that the integer kernels replace.
+
+def ref_eval(h, x):
+    xs, vs = h.xs, h.vs
+    for i in range(len(xs) - 1):
+        if xs[i] <= x <= xs[i + 1]:
+            return vs[i] + (vs[i + 1] - vs[i]) * (x - xs[i]) / (xs[i + 1] - xs[i])
+    raise AssertionError(x)
+
+
+def ref_integral_on(h, lo, hi):
+    pts = [lo] + [t for t in h.xs if lo < t < hi] + [hi]
+    return sum(((b - a) * (ref_eval(h, a) + ref_eval(h, b)) / 2
+                for a, b in zip(pts, pts[1:])), F(0))
+
+
+def ref_canonical(xs, vs):
+    kx, kv = [xs[0]], [vs[0]]
+    for i in range(1, len(xs) - 1):
+        if (vs[i] - kv[-1]) * (xs[i + 1] - kx[-1]) != (vs[i + 1] - kv[-1]) * (xs[i] - kx[-1]):
+            kx.append(xs[i])
+            kv.append(vs[i])
+    return tuple(kx + [xs[-1]]), tuple(kv + [vs[-1]])
+
+
+def ref_grid(a, b, crossings=False):
+    """Merged breakpoints, plus the points where a - b changes sign."""
+    grid = sorted(set(a.xs) | set(b.xs))
+    if crossings:
+        for x0, x1 in zip(grid[:], grid[1:]):
+            d0 = ref_eval(a, x0) - ref_eval(b, x0)
+            d1 = ref_eval(a, x1) - ref_eval(b, x1)
+            if d0 * d1 < 0:
+                grid.append(x0 + (x1 - x0) * d0 / (d0 - d1))
+        grid.sort()
+    return grid
+
+
+def ref_apply(op, a, b, crossings=False):
+    grid = ref_grid(a, b, crossings)
+    return ref_canonical(grid, [op(ref_eval(a, t), ref_eval(b, t)) for t in grid])
+
+
+def ref_l1(a, b):
+    grid = ref_grid(a, b, crossings=True)
+    return sum(((x1 - x0) * abs(ref_eval(a, x0) - ref_eval(b, x0)
+                                + ref_eval(a, x1) - ref_eval(b, x1)) / 2
+                for x0, x1 in zip(grid, grid[1:])), F(0))
+
+
+def ref_sublevel(h, theta):
+    xs, vs = h.xs, h.vs
+    raw = []
+    for x0, x1, v0, v1 in zip(xs, xs[1:], vs, vs[1:]):
+        if v0 < theta and v1 < theta:
+            raw.append((x0, x1))
+        elif v0 < theta <= v1 or v1 < theta <= v0:
+            r = x0 + (x1 - x0) * (theta - v0) / (v1 - v0)
+            raw.append((x0, r) if v0 < theta else (r, x1))
+    merged = []
+    for a, b in raw:
+        if merged and merged[-1][1] == a and ref_eval(h, a) < theta:
+            merged[-1] = (merged[-1][0], b)
+        else:
+            merged.append((a, b))
+    return tuple(merged)
+
+
+def ref_step_nodes(coeffs, m, j):
+    cell = pow2(-m)
+    w = cell * pow2(-(j + 2))
+    xs, vs = [F(0)], [F(0)]
+    for l, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        a, b = l * cell, (l + 1) * cell
+        if a != xs[-1]:
+            xs.append(a)
+            vs.append(F(0))
+        xs += [a + w, b - w, b]
+        vs += [c, c, F(0)]
+    if xs[-1] != 1:
+        xs.append(F(1))
+        vs.append(F(0))
+    return tuple(xs), tuple(vs)
+
+
+@st.composite
+def mixed_polys(draw):
+    """Non-dyadic and mixed denominators, values of both signs."""
+    cuts = draw(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=30),
+                         min_size=1, max_size=6, unique=True))
+    xs = sorted({F(0), F(1), *cuts})
+    vs = draw(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=14),
+                       min_size=len(xs), max_size=len(xs)))
+    return Polygonal(xs, vs)
+
+
+def sawtooth(teeth, value):
+    return Polygonal([F(i, teeth) for i in range(teeth + 1)],
+                     [value(i) for i in range(teeth + 1)])
+
+
+points = st.fractions(min_value=0, max_value=1, max_denominator=60)
+
+
+class TestIntegerNodes:
+    @given(mixed_polys(), points, points)
+    @settings(max_examples=150)
+    def test_queries_match_fraction_loops(self, h, p, q):
+        lo, hi = min(p, q), max(p, q)
+        assert h.eval(p) == ref_eval(h, p)
+        assert h.integral() == ref_integral_on(h, F(0), F(1))
+        assert h.integral_on(lo, hi) == ref_integral_on(h, lo, hi)
+        assert (h.xs, h.vs) == ref_canonical(h.xs, h.vs)
+
+    @given(mixed_polys(), mixed_polys(), st.fractions(min_value=-3, max_value=3,
+                                                      max_denominator=10))
+    @settings(max_examples=150)
+    def test_algebra_matches_fraction_loops(self, a, b, c):
+        got = {"+": a + b, "-": a - b, "min": a.min_with(b), "max": a.max_with(b)}
+        assert (got["+"].xs, got["+"].vs) == ref_apply(lambda s, t: s + t, a, b)
+        assert (got["-"].xs, got["-"].vs) == ref_apply(lambda s, t: s - t, a, b)
+        assert (got["min"].xs, got["min"].vs) == ref_apply(min, a, b, crossings=True)
+        assert (got["max"].xs, got["max"].vs) == ref_apply(max, a, b, crossings=True)
+        zero = Polygonal.constant(0)
+        assert (abs(a).xs, abs(a).vs) == ref_apply(lambda s, t: abs(s), a, zero,
+                                                   crossings=True)
+        assert ((a * c).xs, (a * c).vs) == ref_canonical(a.xs, [c * v for v in a.vs])
+        assert l1_distance(a, b) == ref_l1(a, b)
+        assert got["min"] + got["max"] == a + b
+        assert (abs(a) - a).min_value() >= 0
+
+    @given(mixed_polys(), st.fractions(min_value="1/20", max_value=4,
+                                       max_denominator=20))
+    @settings(max_examples=150)
+    def test_sublevel_matches_fraction_loop(self, h, theta):
+        # Node values as thresholds: h touches theta at a breakpoint.
+        for t in [theta] + [v for v in h.vs if v > 0]:
+            u = sublevel(h, t)
+            assert u.ivs == ref_sublevel(h, t)
+            for a, b in u.ivs:
+                assert h.eval((a + b) / 2) < t
+
+    @given(mixed_polys(), points)
+    @settings(max_examples=100)
+    def test_equality_is_equality_of_functions(self, h, t):
+        # Insert a node on a segment: same function, other node list.
+        xs = sorted(set(h.xs) | {t})
+        same = Polygonal(xs, [ref_eval(h, x) for x in xs])
+        assert same == h and hash(same) == hash(h)
+        assert (same.xs, same.vs) == (h.xs, h.vs)
+        assert h + Polygonal.constant(F(1, 7)) != h
+
+    def test_sawtooth_crossings_at_distinct_denominators(self):
+        # Tooth i of g runs between 1/(i+2) and 1 - 1/(i+3): one crossing
+        # with f per tooth, each at its own denominator.
+        f = sawtooth(64, lambda i: i % 2)
+        g = sawtooth(64, lambda i: 1 - F(1, i + 2) if i % 2 else F(1, i + 2))
+        lo, hi = f.min_with(g), f.max_with(g)
+        crossings = set(lo.xs) - set(f.xs) - set(g.xs)
+        assert len({t.denominator for t in crossings}) == len(crossings) >= 64
+        assert (lo.xs, lo.vs) == ref_apply(min, f, g, crossings=True)
+        assert (hi.xs, hi.vs) == ref_apply(max, f, g, crossings=True)
+        assert lo + hi == f + g
+        assert l1_distance(f, g) == ref_l1(f, g) == (hi - lo).integral()
+        assert abs(f - g) == hi - lo
+
+    @given(step_coeffs(), st.integers(0, 6))
+    @settings(max_examples=100)
+    def test_step_nodes_match_fraction_loop(self, cm, j):
+        coeffs, m = cm
+        s = step_function(coeffs, m, j)
+        assert (s.xs, s.vs) == ref_canonical(*ref_step_nodes(coeffs, m, j))
+        # Thirds of a ramp width: points on ramps, plateaus and cell edges.
+        den = 3 << (m + j + 2)
+        for num in random.Random(den).sample(range(den + 1), min(den + 1, 60)):
+            assert s.eval(F(num, den)) == ref_eval(s, F(num, den))
