@@ -11,7 +11,7 @@ materialize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from threading import RLock
 from typing import Callable, Optional, Sequence
@@ -35,12 +35,16 @@ class AEFunction:
     """A function defined almost everywhere on [0, 1].
 
     ``evaluator`` must be extensional: witnesses carrying the same point give
-    the same real, whatever their bounds.
+    the same real, whatever their bounds.  ``values_at``, when given, maps
+    sorted rational domain points to the exact values there in one pass,
+    raising ValueError where it cannot decide; equality and hash ignore it.
     """
 
     domain: RegularSeq
     evaluator: Callable[[DomainWitness], CReal]
     name: str = ""
+    values_at: Optional[Callable[[Sequence[Fraction]], list]] = field(
+        default=None, compare=False)
 
     def eval(self, w: DomainWitness) -> CReal:
         return self.evaluator(w)
@@ -49,7 +53,7 @@ class AEFunction:
     def from_polygonal(h: Polygonal, name: str = "") -> "AEFunction":
         return AEFunction(domain=RegularSeq.zero(),
                           evaluator=lambda w: h.eval_creal(w.x),
-                          name=name)
+                          name=name, values_at=h.values_at)
 
 
 class Summable:
@@ -313,12 +317,25 @@ def char_of_interval_union(union: IntervalUnion,
             return ZERO
         return None
 
+    def values_at(points: Sequence[Fraction]) -> list:
+        # One sweep: i is the first component that does not end left of x.
+        out, i, count = [], 0, len(components)
+        for x in points:
+            while i < count and components[i][1] < x:
+                i += 1
+            if i < count and x in components[i]:
+                raise ValueError(f"membership is undecidable at the endpoint {x}")
+            out.append(ONE if i < count and components[i][0] < x else ZERO)
+        return out
+
     def evaluator(w: DomainWitness) -> CReal:
+        if w.x.rational is not None:
+            return CReal.from_rational(values_at((w.x.rational,))[0])
         return refine_until_decided(
             w.x, 3, 2, membership,
             "membership decision exceeded the budget; witness may be invalid")
 
-    base = AEFunction(dom, evaluator, name=f"chi[{name}]")
+    base = AEFunction(dom, evaluator, name=f"chi[{name}]", values_at=values_at)
     characteristic = Summable(base, lambda k: union_indicator(union, k),
                               name=base.name)
     return MeasurableSet(characteristic=characteristic, support=union, name=name)

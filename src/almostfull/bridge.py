@@ -12,8 +12,11 @@ summable function with a sampled equality verification.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from math import ceil, floor
 from threading import RLock
 from typing import Callable, Optional
 
@@ -32,6 +35,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 TWO_THIRDS = Fraction(2, 3)
 THREE_QUARTERS = Fraction(3, 4)
+THIRD = Fraction(1, 3)
 
 
 @dataclass(frozen=True)
@@ -116,7 +120,7 @@ class Bridge:
             lambda n: sublevel(f.domain.term(n), TWO_THIRDS ** n))
         self._gamma_unions = Memo(lambda key: self._intersect_deltas(*key))
         self._gamma_depths = Memo(lambda key: _gamma_depth(*key))
-        self._theta = Memo(lambda key: self._decide_theta(*key))
+        self._plans = Memo(lambda key: self._level_plan(*key))
         self._zeta = Memo(lambda key: self._realize_zeta(*key))
         self._nets = Memo(self._build_net)
 
@@ -177,44 +181,71 @@ class Bridge:
         The measure of the cell's intersection with the realized prefix set
         overestimates the true one by at most 4**-m/4; thresholding at
         4**-m/2 therefore guarantees: positive answers have true measure
-        above 4**-m/4, negative answers below 4**-m.
+        above 4**-m/4, negative answers below 4**-m.  Decisions are read by
+        bisection from the level plan of ``(m, n)`` (see ``_level_plan``).
         """
         if not 0 <= k < (1 << m):
             raise ValueError(f"cell index {k} out of range at level {m}")
-        if self.f.domain.always_zero:
-            # Sublevel sets are the whole interval, so every cell passes.
-            return True
-        return self._theta((k, m, n))
+        return self._piece(k, m, n) is not False
 
-    def _decide_theta(self, k: int, m: int, n: int) -> bool:
-        lo, hi = _cell_bounds(k, m)
-        mu = self.gamma_union(n, self.gamma_depth(m, n)).intersect_interval(lo, hi).length
-        return mu > pow2(-2 * m) / 2
+    def _piece(self, k: int, m: int, n: int):
+        """False when the cell fails ``theta``; else the largest component of
+        its part of the realized set, or None when that is the whole cell."""
+        starts, runs = self._plans((m, n))
+        i = bisect_right(starts, k) - 1
+        return runs[i][2] if i >= 0 and k < runs[i][1] else False
+
+    def _level_plan(self, m: int, n: int):
+        """The cells passing ``theta`` at level m, from one sweep of the realized
+        set: sorted runs ``(start, stop, piece)`` of cells inside a component
+        (piece None), or one partly covered cell with its largest piece."""
+        scale, runs, partial = 1 << m, [], {}
+        for a, b in self.gamma_union(n, self.gamma_depth(m, n)).ivs:
+            # Cells first..last meet (a, b); cells full..stop-1 lie inside it.
+            first, full = floor(a * scale), ceil(a * scale)
+            stop, last = floor(b * scale), ceil(b * scale) - 1
+            if full < stop:
+                runs.append((full, stop, None))
+            for k in {first, last}:
+                if not full <= k < stop:
+                    lo, hi = _cell_bounds(k, m)
+                    partial.setdefault(k, []).append((max(a, lo), min(b, hi)))
+        for k, pieces in partial.items():
+            part = IntervalUnion(pieces, _trusted=True)
+            if part.length > pow2(-2 * m) / 2:
+                runs.append((k, k + 1, part.largest_component()))
+        runs.sort()
+        return [r[0] for r in runs], runs
 
     # -- sample points ------------------------------------------------------------
 
     def zeta(self, k: int, m: int, n: int) -> DomainWitness:
         """Memoized sample point for a cell triple, with a domain witness for f.
 
-        Cells passing ``theta`` sample inside the cell's intersection with
-        the realized set; others sample anywhere in the cell's part of the
-        function's domain.
+        Cells passing ``theta`` sample a third into their plan piece; others
+        a third into the cell.  Where the domain has no profile there, a
+        point is realized by bisection instead.  Points asked for here are
+        kept; net builds recompute the same rational points and keep none.
         """
         return self._zeta((k, m, n))
 
+    def _point(self, k: int, m: int, n: int, t: Fraction = THIRD) -> Fraction:
+        """The point at fraction t of the cell's plan piece, or of the cell."""
+        piece = self._piece(k, m, n)
+        if piece:
+            a, b = piece
+            return a + (b - a) * t
+        return Fraction(k * t.denominator + t.numerator, t.denominator << m)
+
     def _realize_zeta(self, k: int, m: int, n: int) -> DomainWitness:
-        if self.f.domain.always_zero:
-            # Same point the generic route selects: a third into the cell.
-            candidate = Fraction(3 * k + 1, 3 << m)
-            return DomainWitness(x=CReal.from_rational(candidate), gamma=ZERO)
         if self.theta(k, m, n):
-            return self._sample_in(k, m, n, Fraction(1, 3), "cell")[0]
+            return self._sample_in(k, m, n, THIRD, "cell")[0]
         # Otherwise: any point of the cell that lies in the domain.
-        lo, hi = _cell_bounds(k, m)
-        candidate = lo + (hi - lo) / 3
+        candidate = self._point(k, m, n)
         prof = self.f.domain.profile_at(candidate)
         if prof is not None:
             return DomainWitness(x=CReal.from_rational(candidate), gamma=prof.total)
+        lo, hi = _cell_bounds(k, m)
         shift = 2 * m + 6
         bump = _cell_trapezoid(lo, hi)
         realized = realize_point(bump, self.f.domain.shifted(shift), shift)
@@ -222,21 +253,20 @@ class Bridge:
         return DomainWitness(x=realized.point, gamma=realized.bound + extra)
 
     def _sample_in(self, k: int, m: int, n: int, t: Fraction, name: str):
-        """A witnessed point of the realized set in cell k at level m.
+        """A witnessed point of the realized set in a cell passing ``theta``.
 
-        Takes the point at fraction t of the largest component of the cell's
-        part of the realized prefix set; it carries an exact witness where
-        the domain has a profile.  Otherwise a point of that component is
-        realized and transported to f's domain.  Returns the witness and the
-        rational point, or None for a realized point.
+        Takes the point at fraction t of the cell's plan piece; it carries
+        an exact witness where the domain has a profile.  Otherwise a point
+        of the cell's part of the realized set is realized and transported
+        to f's domain.  Returns the witness and the rational point, or None
+        for a realized point.
         """
-        lo, hi = _cell_bounds(k, m)
-        union = self.gamma_union(n, self.gamma_depth(m, n)).intersect_interval(lo, hi)
-        a, b = union.largest_component()
-        xi = a + (b - a) * t
+        xi = self._point(k, m, n, t)
         prof = self.f.domain.profile_at(xi)
         if prof is not None:
             return DomainWitness(x=CReal.from_rational(xi), gamma=prof.total), xi
+        lo, hi = _cell_bounds(k, m)
+        union = self.gamma_union(n, self.gamma_depth(m, n)).intersect_interval(lo, hi)
         ms = char_of_interval_union(union, extra_domain=self.f.domain,
                                     name=f"{name}({k},{m},{n})")
         return row_witness(point_in_positive_set(ms, prefix=2 * m + 8), 1), None
@@ -249,19 +279,26 @@ class Bridge:
         Each coefficient is ``rat_approx`` of the sampled value at precision
         ``level + 4``: a rational within ``2**-(level+4)`` of it, which is
         the exact sample value wherever f evaluates exactly (polygonals at
-        rational sample points).  The coefficients are kept as one shared
-        ``Plateaus``.  The net's domain avoids the cell boundaries; it is
-        built when a term or profile of it is first asked for.
+        rational sample points).  When f has ``values_at``, every cell whose
+        ``zeta`` point is rational gets its exact value from one call of it,
+        and no witness is made or kept; other cells go through ``zeta``.
+        The coefficients are kept as one shared ``Plateaus``.  The net's
+        domain avoids the cell boundaries; it is built when a term or
+        profile of it is first asked for.
         """
         return self._nets(alpha)
 
     def _build_net(self, alpha: NetIndex) -> Summable:
-        m = alpha.level
-        precision = m + 4
-        coeffs = []
-        for (k, ml, nl) in alpha.cells:
-            w = self.zeta(k, ml, nl)
-            coeffs.append(rat_approx(self.f.eval(w), precision))
+        m, cells = alpha.level, alpha.cells
+        exact, values = [False] * len(cells), iter(())
+        if self.f.values_at is not None:
+            # zeta's points, where the domain has a profile (the zero sequence has).
+            domain = self.f.domain
+            points = [self._point(*cell) for cell in cells]
+            exact = [domain.always_zero or domain.profile_at(xi) is not None for xi in points]
+            values = iter(self.f.values_at(list(compress(points, exact))))
+        coeffs = [next(values) if ok else rat_approx(self.f.eval(self.zeta(*cell)), m + 4)
+                  for cell, ok in zip(cells, exact)]
         plateaus = Plateaus(coeffs)
         cell = pow2(-m)
 

@@ -115,20 +115,26 @@ class Polygonal:
 
     def eval(self, x) -> Fraction:
         """Exact value at a rational point of [0, 1]."""
-        if type(x) is not Fraction:
-            x = Fraction(x)
-        p, q = x.numerator, x.denominator
-        if not 0 <= p <= q:
-            raise ValueError(f"point {x} outside [0, 1]")
-        xs, v = self._x, self._v
-        px = p * self._xd
-        i = bisect_right(xs, px // q) - 1
-        x0 = xs[i]
-        if x0 * q == px:
-            return Fraction(v[i], self._vd)
-        x1 = xs[i + 1]
-        return Fraction(v[i] * (x1 * q - px) + v[i + 1] * (px - x0 * q),
-                        self._vd * q * (x1 - x0))
+        return self.values_at((x if type(x) is Fraction else Fraction(x),))[0]
+
+    def values_at(self, points: Sequence[Fraction]) -> list:
+        """Exact values at sorted rational points of [0, 1], in one merge with the nodes."""
+        xs, v, xd, vd = self._x, self._v, self._xd, self._vd
+        out, i = [], 0
+        for t in points:
+            p, q = t.numerator, t.denominator
+            if not 0 <= p <= q:
+                raise ValueError(f"point {t} outside [0, 1]")
+            px = p * xd
+            i = bisect_right(xs, px // q, i) - 1
+            x0 = xs[i]
+            if x0 * q == px:
+                out.append(Fraction(v[i], vd))
+            else:
+                x1 = xs[i + 1]
+                out.append(Fraction(v[i] * (x1 * q - px) + v[i + 1] * (px - x0 * q),
+                                    vd * q * (x1 - x0)))
+        return out
 
     def _trapezoids(self, i: int, j: int) -> int:
         """Twice the integral from node i to node j, as a numerator over ``xd * vd``."""

@@ -37,9 +37,10 @@ traced("ae-step", ("bridge.net.calls", "bridge.net.built", "bridge.zeta.calls",
                    "exact.creal_created", "exact.rat_approx.calls",
                    "aefunc.summable_term.generated", "regular.term.generated",
                    "polygonal.step_function.cells"))
-# tent samples a polygonal at rational points: the exact sampling path.
-traced("tent", ("exact.rat_approx.calls", "polygonal.step_function.cells",
-                "polygonal.l1_upper.calls", "bridge.net.built"))
+# tent samples a polygonal at rational points: the exact sampling path, one
+# values_at call per net and no approximation.
+traced("tent", ("polygonal.step_function.cells", "polygonal.l1_upper.calls",
+                "bridge.net.built"))
 
 # A repeated request is a memo hit: it counts as a call, not as a build.
 from almostfull import AEFunction, Bridge, NetIndex, Polygonal
