@@ -16,7 +16,7 @@ nodes as tuples of ``Fraction``, built on first use.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import compress, count, repeat
 from math import gcd, lcm
@@ -75,8 +75,8 @@ class Polygonal:
         pts = sorted((Fraction(t), Fraction(v)) for t, v in pairs)
         return cls(tuple(t for t, _ in pts), tuple(v for _, v in pts))
 
-    @classmethod
-    def tent(cls, center, height=ONE, half_width=None) -> "Polygonal":
+    @staticmethod
+    def tent(center, height=ONE, half_width=None) -> "Polygonal":
         """Triangular bump of the given height around ``center``, clipped to [0, 1]."""
         c = Fraction(center)
         h = Fraction(height)
@@ -85,15 +85,12 @@ class Polygonal:
             raise ValueError("tent center must be interior")
         if w <= 0 or h < 0:
             raise ValueError("tent needs positive width and nonnegative height")
-        xs = [ZERO]
-        vs = [h * (1 - c / w) if c < w else ZERO]
-        for t in (c - w, c, c + w):
-            if 0 < t < 1 and t > xs[-1]:
-                xs.append(t)
-                vs.append(h if t == c else ZERO)
-        xs.append(ONE)
-        vs.append(h * (1 - (1 - c) / w) if 1 - c < w else ZERO)
-        return cls(xs, vs)
+        # Over xd, the center is cn and the half-width wn; values over wn * hd.
+        xd = lcm(c.denominator, w.denominator)
+        cn, wn = c.numerator * (xd // c.denominator), w.numerator * (xd // w.denominator)
+        x = [0, *(t for t in (cn - wn, cn, cn + wn) if 0 < t < xd), xd]
+        v = [h.numerator * max(0, wn - abs(t - cn)) for t in x]
+        return Polygonal.from_integers(x, xd, v, wn * h.denominator)
 
     # -- rational views ----------------------------------------------------------
 
@@ -158,17 +155,22 @@ class Polygonal:
             return ZERO
         if lo == 0 and hi == 1:
             return self.integral()
-        x, xd, v, vd = self._x, self._xd, self._v, self._vd
-        # x[i..j] are the breakpoints strictly inside (lo, hi).
-        i = bisect_right(x, lo.numerator * xd // lo.denominator)
-        j = bisect_left(x, -(-hi.numerator * xd // hi.denominator)) - 1
-        f_lo, f_hi = self.eval(lo), self.eval(hi)
-        if i > j:
-            return (hi - lo) * (f_lo + f_hi) / 2
-        xi, xj = Fraction(x[i], xd), Fraction(x[j], xd)
-        inner = Fraction(self._trapezoids(i, j), xd * vd)
-        return (inner + (xi - lo) * (f_lo + Fraction(v[i], vd))
-                + (hi - xj) * (Fraction(v[j], vd) + f_hi)) / 2
+        i, a, da = self._partial(lo)
+        j, b, db = self._partial(hi)
+        return Fraction(self._trapezoids(i, j) * da * db + b * da - a * db,
+                        2 * self._xd * self._vd * da * db)
+
+    def _partial(self, t: Fraction):
+        """``(i, num, den)``: node i at or before t, and twice the integral
+        from node i to t as ``num / (den * xd * vd)``.
+
+        With ``s = t xd - x[i]`` that is ``s (2 v[i] + dv s / dx)`` over ``xd vd``.
+        """
+        x, v, xd = self._x, self._v, self._xd
+        p, q = t.numerator, t.denominator
+        i = min(bisect_right(x, p * xd // q), len(x) - 1) - 1
+        s, dx = p * xd - x[i] * q, x[i + 1] - x[i]
+        return i, s * (2 * v[i] * q * dx + (v[i + 1] - v[i]) * s), q * q * dx
 
     def lipschitz(self) -> Fraction:
         """Largest absolute slope; 0 for constants."""
@@ -180,6 +182,19 @@ class Polygonal:
                     rise, run = abs(dv), dx
             self._lipschitz = Fraction(rise * self._xd, run * self._vd)
         return self._lipschitz
+
+    def support(self):
+        """``(a, b, d)``: the function is 0 outside ``[a / d, b / d]``; None when it is 0.
+
+        The ends are the nodes just outside the first and last nonzero
+        values, as numerators over the breakpoints' denominator d.
+        """
+        v = self._v
+        nonzero = [i for i, t in enumerate(v) if t]
+        if not nonzero:
+            return None
+        x = self._x
+        return x[max(nonzero[0] - 1, 0)], x[min(nonzero[-1] + 1, len(x) - 1)], self._xd
 
     def min_value(self) -> Fraction:
         return Fraction(min(self._v), self._vd)

@@ -12,8 +12,10 @@ geometric-decay refinement, each with explicit witness transport.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from threading import RLock
 from typing import Callable, Optional, Sequence
 
@@ -92,7 +94,7 @@ class RegularSeq:
         """Exact pointwise tail profile at x, when the sequence supports one."""
         if self._profile is None:
             return None
-        return self._profile(Fraction(x))
+        return self._profile(x if type(x) is Fraction else Fraction(x))
 
     def shifted(self, s: int) -> "RegularSeq":
         """The sequence ``n -> h_{n+s}``; regularity is inherited."""
@@ -160,8 +162,10 @@ def point_avoiding_seq(points: Sequence, name: str = "") -> RegularSeq:
 
     The bounded-sum set excludes exactly the given points: each tent at index
     k has half-width ``2**-(k+2) / count``, so the series diverges on the
-    points and vanishes eventually everywhere else.  Profiles are computed
-    analytically, without materializing the tent polygonals.
+    points and vanishes eventually everywhere else.  The points are brought
+    to one common denominator when the sequence is built; terms (all tents
+    of an index summed in one pass) and profiles are integer arithmetic, and
+    profiles are computed in closed form without materializing the terms.
     """
     pts = sorted({Fraction(p) for p in points})
     for p in pts:
@@ -169,40 +173,37 @@ def point_avoiding_seq(points: Sequence, name: str = "") -> RegularSeq:
             raise ValueError("avoided points must lie in [0, 1]")
     if not pts:
         return RegularSeq.zero()
-    count = len(pts)
-
-    def width(k: int) -> Fraction:
-        return pow2(-(k + 2)) / count
-
-    def bump(p: Fraction, w: Fraction) -> Polygonal:
-        if p == 0:
-            return Polygonal((ZERO, w, ONE), (ONE, ZERO, ZERO))
-        if p == 1:
-            return Polygonal((ZERO, 1 - w, ONE), (ZERO, ZERO, ONE))
-        return Polygonal.tent(p, ONE, w)
+    den = lcm(*(p.denominator for p in pts))
+    nums = [p.numerator * (den // p.denominator) for p in pts]
+    # 1 / width(k) = scale << k.
+    scale = 4 * len(pts)
 
     def gen(k: int) -> Polygonal:
-        w = width(k)
-        out = bump(pts[0], w)
-        for p in pts[1:]:
-            out = out + bump(p, w)
-        return out
+        # Over den * (scale << k) every half-width is den and point i is at c[i].
+        xd = den * (scale << k)
+        c = [t * (scale << k) for t in nums]
+        x = [0, *sorted({t for p in c for t in (p - den, p, p + den) if 0 < t < xd}), xd]
+        v = [sum(den - abs(t - p) for p in c[bisect_right(c, t - den):bisect_left(c, t + den)])
+             for t in x]
+        return Polygonal.from_integers(x, xd, v, den)
 
     def profile(x):
-        dists = [abs(x - p) for p in pts]
-        dist = min(dists)
-        if dist == 0:
-            return None
-        total = ZERO
-        k = 0
-        w = width(0)
-        while w > dist:
-            for d in dists:
-                if d < w:
-                    total += 1 - d / w
-            k += 1
-            w = w / 2
-        return TailProfile(total=total, vanish_from=k)
+        # Point i adds 1 - d_i / width(k) while d_i < width(k).  With
+        # big = b * den, d_i = |a den - b p_i| / big; for q = scale * |a den - b p_i|
+        # that is q << k < big, i.e. k < n for the least n with q << n >= big,
+        # and the terms sum to (n * big - q * (2**n - 1)) / big.  All vanish
+        # from the largest n.
+        a, b = x.numerator, x.denominator
+        big = b * den
+        total = vanish = 0
+        for p in nums:
+            q = scale * abs(a * den - b * p)
+            if q == 0:
+                return None
+            n = (-(-big // q) - 1).bit_length()
+            total += n * big - q * ((1 << n) - 1)
+            vanish = max(vanish, n)
+        return TailProfile(total=Fraction(total, big), vanish_from=vanish)
 
     return RegularSeq(gen, name=name or "avoid", profile=profile)
 
@@ -266,7 +267,10 @@ class _Bisection:
     an exact margin  M = int_I (h - eps) - sum_{n<=K} (1+eps)^n int_I h_n - T(K),
     where T(K) bounds the remaining tail.  M stays positive: extending K can
     only increase it, and after arranging T(K) <= M/2 at least one half of I
-    keeps a positive margin.
+    keeps a positive margin.  Each term's support is read once per index,
+    which still generates and checks the term; a term whose support meets I
+    in at most a point adds exactly 0 and is skipped, by an integer
+    comparison, without integrating it.
     """
 
     CHUNK = 4
@@ -281,6 +285,7 @@ class _Bisection:
         self._lock = RLock()
         growth = 1 + eps
         self._pow = Memo(lambda n: growth ** n)
+        self._support = Memo(lambda n: seq.term(n).support())
         # chain entries: (lo, hi, K, margin)
         self.chain = [(ZERO, ONE, k0, self._margin(ZERO, ONE, k0))]
 
@@ -289,11 +294,15 @@ class _Bisection:
 
     def _weighted(self, lo, hi, n_from, n_to) -> Fraction:
         total = ZERO
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
         for n in range(n_from, n_to + 1):
-            hn = self.seq.term(n)
-            if hn.is_zero():
+            support = self._support(n)
+            if support is None:
                 continue
-            total += self._pow(n) * hn.integral_on(lo, hi)
+            a, b, d = support
+            if b * ld <= ln * d or hn * d <= a * hd:
+                continue
+            total += self._pow(n) * self.seq.term(n).integral_on(lo, hi)
         return total
 
     def _margin(self, lo, hi, k) -> Fraction:
