@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from threading import RLock
 from typing import Callable, Optional, Sequence
 
@@ -36,14 +37,16 @@ class AEFunction:
 
     ``evaluator`` must be extensional: witnesses carrying the same point give
     the same real, whatever their bounds.  ``values_at``, when given, maps
-    sorted rational domain points to the exact values there in one pass,
-    raising ValueError where it cannot decide; equality and hash ignore it.
+    sorted domain points ``nums[i] / den`` to the exact values there in one
+    pass, as ``(out, d)`` with value i equal to ``out[i] / d`` (all
+    integers), raising ValueError where it cannot decide; equality and hash
+    ignore it.
     """
 
     domain: RegularSeq
     evaluator: Callable[[DomainWitness], CReal]
     name: str = ""
-    values_at: Optional[Callable[[Sequence[Fraction]], list]] = field(
+    values_at: Optional[Callable[[Sequence[int], int], tuple]] = field(
         default=None, compare=False)
 
     def eval(self, w: DomainWitness) -> CReal:
@@ -317,20 +320,27 @@ def char_of_interval_union(union: IntervalUnion,
             return ZERO
         return None
 
-    def values_at(points: Sequence[Fraction]) -> list:
-        # One sweep: i is the first component that does not end left of x.
+    ed = lcm(*(t.denominator for t in endpoints))
+
+    def values_at(nums: Sequence[int], den: int) -> tuple:
+        # One sweep, x = p / den against the endpoints over ed scaled by den:
+        # i is the first component that does not end left of x.
         out, i, count = [], 0, len(components)
-        for x in points:
-            while i < count and components[i][1] < x:
+        scaled = [(a.numerator * (ed // a.denominator) * den,
+                   b.numerator * (ed // b.denominator) * den) for a, b in components]
+        for p in nums:
+            pe = p * ed
+            while i < count and scaled[i][1] < pe:
                 i += 1
-            if i < count and x in components[i]:
-                raise ValueError(f"membership is undecidable at the endpoint {x}")
-            out.append(ONE if i < count and components[i][0] < x else ZERO)
-        return out
+            if i < count and pe in scaled[i]:
+                raise ValueError(f"membership is undecidable at the endpoint {Fraction(p, den)}")
+            out.append(1 if i < count and scaled[i][0] < pe else 0)
+        return out, 1
 
     def evaluator(w: DomainWitness) -> CReal:
-        if w.x.rational is not None:
-            return CReal.from_rational(values_at((w.x.rational,))[0])
+        x = w.x.rational
+        if x is not None:
+            return CReal.from_rational(values_at((x.numerator,), x.denominator)[0][0])
         return refine_until_decided(
             w.x, 3, 2, membership,
             "membership decision exceeded the budget; witness may be invalid")

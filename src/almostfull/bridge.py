@@ -12,11 +12,13 @@ summable function with a sampled equality verification.
 from __future__ import annotations
 
 import random
+import weakref
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import compress
-from math import ceil, floor
+from math import ceil, floor, lcm
 from threading import RLock
 from typing import Callable, Optional
 
@@ -39,24 +41,45 @@ THIRD = Fraction(1, 3)
 
 
 @dataclass(frozen=True)
+class UniformCells(Sequence):
+    """The cells ``(l, level, depth)`` of a uniform index, kept as level and depth."""
+
+    level: int
+    depth: int
+
+    def __len__(self) -> int:
+        return 1 << self.level
+
+    def __getitem__(self, l):
+        if isinstance(l, slice):
+            return tuple(self[k] for k in range(len(self))[l])
+        return range(len(self))[l], self.level, self.depth
+
+
+@dataclass(frozen=True)
 class NetIndex:
     """Member of the directed set of refined dyadic partitions.
 
     ``level`` is the coarse partition exponent m; ``cells[l]`` is a triple
     ``(k, m_l, n_l)`` naming a refined subcell of the l-th coarse cell and
     the depth of the intersection set used to place its sample point.
-    Indices compare by level alone.
+    Indices compare by level alone.  Uniform cells ``(l, m, n)`` for one
+    depth n are kept as ``UniformCells(m, n)``, however they were given, so
+    both spellings of an index are equal and hash alike.
     """
 
     level: int
-    cells: tuple
+    cells: Sequence
 
     def __post_init__(self):
         if self.level < 0:
             raise ValueError("net level must be >= 0")
-        if len(self.cells) != (1 << self.level):
+        cells = self.cells
+        if len(cells) != (1 << self.level):
             raise ValueError("need one cell triple per coarse cell")
-        for l, (k, ml, nl) in enumerate(self.cells):
+        uniform = isinstance(cells, UniformCells)
+        # Uniform cells all have the shape of the first.
+        for l, (k, ml, nl) in enumerate(cells[:1] if uniform else cells):
             if ml < self.level:
                 raise ValueError(f"cell {l}: refinement level {ml} below net level")
             if nl < 0:
@@ -64,12 +87,13 @@ class NetIndex:
             ratio = 1 << (ml - self.level)
             if not l * ratio <= k < (l + 1) * ratio:
                 raise ValueError(f"cell {l}: subcell {k} at level {ml} not inside")
+        if not uniform and all(c[1:] == (self.level, cells[0][2]) for c in cells):
+            object.__setattr__(self, "cells", UniformCells(self.level, cells[0][2]))
 
     @staticmethod
     def uniform(level: int, depth: int) -> "NetIndex":
         """Canonical index: each coarse cell sampled at its own level."""
-        cells = tuple((l, level, depth) for l in range(1 << level))
-        return NetIndex(level=level, cells=cells)
+        return NetIndex(level=level, cells=UniformCells(level, depth))
 
     @staticmethod
     def canonical(level: int) -> "NetIndex":
@@ -108,21 +132,43 @@ def _cell_bounds(k: int, m: int):
 class Bridge:
     """Net machinery for one a.e.-defined function, with write-once memo tables.
 
-    The tables compute through the bridge itself.  That reference cycle costs
-    nothing extra: a bridge lives as long as its function, which keeps it
-    (see ``bridge_for``) and which it keeps.
+    The tables compute from closures over the function's fields and over one
+    another, never through the bridge or the function, so a bridge, its
+    plans and its nets are freed by reference counting, with no cycle left
+    for the collector.  ``f`` is the function while anything else holds it,
+    and after that the bridge's equal copy of it, which does not hold the
+    bridge.
     """
 
     def __init__(self, f: AEFunction, name: str = ""):
-        self.f = f
-        self.name = name or f.name or "f"
-        self._delta_unions = Memo(
-            lambda n: sublevel(f.domain.term(n), TWO_THIRDS ** n))
-        self._gamma_unions = Memo(lambda key: self._intersect_deltas(*key))
-        self._gamma_depths = Memo(lambda key: _gamma_depth(*key))
-        self._plans = Memo(lambda key: self._level_plan(*key))
-        self._zeta = Memo(lambda key: self._realize_zeta(*key))
-        self._nets = Memo(self._build_net)
+        self._ref, self._own, self.name = weakref.ref(f), replace(f), name or f.name or "f"
+        own, name, chains = self._own, self.name, {}
+        deltas = self._delta_unions = Memo(
+            lambda n: sublevel(own.domain.term(n), TWO_THIRDS ** n))
+
+        def gamma_union(key):
+            # Under the table's lock, a prefix extends the longest one stored.
+            n, prefix = key
+            if prefix < n:
+                raise ValueError("prefix must be at least the start index")
+            chain = chains.setdefault(n, [deltas(n)])
+            while len(chain) <= prefix - n:
+                chain.append(chain[-1].intersect(deltas(n + len(chain))))
+            return chain[prefix - n]
+
+        gammas = self._gamma_unions = Memo(gamma_union)
+        plans = self._plans = Memo(lambda key: _level_plan(gammas, *key))
+        self._zeta = Memo(
+            lambda key: _sample_in(plans, gammas, own.domain, *key, THIRD, "cell")[0])
+        # Only a live bridge builds a net: its cells ask the bridge's zeta
+        # through a weak proxy.
+        me = weakref.proxy(self)
+        self._nets = Memo(lambda alpha: _build_net(alpha, plans, me.zeta, own, name))
+
+    @property
+    def f(self) -> AEFunction:
+        f = self._ref()
+        return self._own if f is None else f
 
     # -- sublevel sets and intersections -------------------------------------------
 
@@ -141,21 +187,10 @@ class Bridge:
 
     def gamma_depth(self, m: int, n: int) -> int:
         """Prefix making the unrealized tail at most a quarter cell area."""
-        return self._gamma_depths((m, n))
+        return _gamma_depth(m, n)
 
     def gamma_union(self, n: int, prefix: int) -> IntervalUnion:
         return self._gamma_unions((n, prefix))
-
-    def _intersect_deltas(self, n: int, prefix: int) -> IntervalUnion:
-        if prefix < n:
-            raise ValueError("prefix must be at least the start index")
-        if prefix == n:
-            return self.delta_union(n)
-        # Shorter prefixes first: each then extends a stored one, so a long
-        # first request does not recurse once per index.
-        for k in range(n, prefix - 1):
-            self.gamma_union(n, k)
-        return self.gamma_union(n, prefix - 1).intersect(self.delta_union(prefix))
 
     def gamma(self, n: int) -> GammaInfo:
         """Finite realization of the tail intersection of sublevel sets.
@@ -184,38 +219,7 @@ class Bridge:
         above 4**-m/4, negative answers below 4**-m.  Decisions are read by
         bisection from the level plan of ``(m, n)`` (see ``_level_plan``).
         """
-        if not 0 <= k < (1 << m):
-            raise ValueError(f"cell index {k} out of range at level {m}")
-        return self._piece(k, m, n) is not False
-
-    def _piece(self, k: int, m: int, n: int):
-        """False when the cell fails ``theta``; else the largest component of
-        its part of the realized set, or None when that is the whole cell."""
-        starts, runs = self._plans((m, n))
-        i = bisect_right(starts, k) - 1
-        return runs[i][2] if i >= 0 and k < runs[i][1] else False
-
-    def _level_plan(self, m: int, n: int):
-        """The cells passing ``theta`` at level m, from one sweep of the realized
-        set: sorted runs ``(start, stop, piece)`` of cells inside a component
-        (piece None), or one partly covered cell with its largest piece."""
-        scale, runs, partial = 1 << m, [], {}
-        for a, b in self.gamma_union(n, self.gamma_depth(m, n)).ivs:
-            # Cells first..last meet (a, b); cells full..stop-1 lie inside it.
-            first, full = floor(a * scale), ceil(a * scale)
-            stop, last = floor(b * scale), ceil(b * scale) - 1
-            if full < stop:
-                runs.append((full, stop, None))
-            for k in {first, last}:
-                if not full <= k < stop:
-                    lo, hi = _cell_bounds(k, m)
-                    partial.setdefault(k, []).append((max(a, lo), min(b, hi)))
-        for k, pieces in partial.items():
-            part = IntervalUnion(pieces, _trusted=True)
-            if part.length > pow2(-2 * m) / 2:
-                runs.append((k, k + 1, part.largest_component()))
-        runs.sort()
-        return [r[0] for r in runs], runs
+        return _piece(self._plans, k, m, n) is not False
 
     # -- sample points ------------------------------------------------------------
 
@@ -229,47 +233,8 @@ class Bridge:
         """
         return self._zeta((k, m, n))
 
-    def _point(self, k: int, m: int, n: int, t: Fraction = THIRD) -> Fraction:
-        """The point at fraction t of the cell's plan piece, or of the cell."""
-        piece = self._piece(k, m, n)
-        if piece:
-            a, b = piece
-            return a + (b - a) * t
-        return Fraction(k * t.denominator + t.numerator, t.denominator << m)
-
-    def _realize_zeta(self, k: int, m: int, n: int) -> DomainWitness:
-        if self.theta(k, m, n):
-            return self._sample_in(k, m, n, THIRD, "cell")[0]
-        # Otherwise: any point of the cell that lies in the domain.
-        candidate = self._point(k, m, n)
-        prof = self.f.domain.profile_at(candidate)
-        if prof is not None:
-            return DomainWitness(x=CReal.from_rational(candidate), gamma=prof.total)
-        lo, hi = _cell_bounds(k, m)
-        shift = 2 * m + 6
-        bump = _cell_trapezoid(lo, hi)
-        realized = realize_point(bump, self.f.domain.shifted(shift), shift)
-        extra = sum((self.f.domain.term(i).max_value() for i in range(shift)), ZERO)
-        return DomainWitness(x=realized.point, gamma=realized.bound + extra)
-
-    def _sample_in(self, k: int, m: int, n: int, t: Fraction, name: str):
-        """A witnessed point of the realized set in a cell passing ``theta``.
-
-        Takes the point at fraction t of the cell's plan piece; it carries
-        an exact witness where the domain has a profile.  Otherwise a point
-        of the cell's part of the realized set is realized and transported
-        to f's domain.  Returns the witness and the rational point, or None
-        for a realized point.
-        """
-        xi = self._point(k, m, n, t)
-        prof = self.f.domain.profile_at(xi)
-        if prof is not None:
-            return DomainWitness(x=CReal.from_rational(xi), gamma=prof.total), xi
-        lo, hi = _cell_bounds(k, m)
-        union = self.gamma_union(n, self.gamma_depth(m, n)).intersect_interval(lo, hi)
-        ms = char_of_interval_union(union, extra_domain=self.f.domain,
-                                    name=f"{name}({k},{m},{n})")
-        return row_witness(point_in_positive_set(ms, prefix=2 * m + 8), 1), None
+    def _point(self, k: int, m: int, n: int) -> Fraction:
+        return _point(self._plans, k, m, n)
 
     # -- nets ---------------------------------------------------------------------
 
@@ -279,52 +244,15 @@ class Bridge:
         Each coefficient is ``rat_approx`` of the sampled value at precision
         ``level + 4``: a rational within ``2**-(level+4)`` of it, which is
         the exact sample value wherever f evaluates exactly (polygonals at
-        rational sample points).  When f has ``values_at``, every cell whose
-        ``zeta`` point is rational gets its exact value from one call of it,
-        and no witness is made or kept; other cells go through ``zeta``.
-        The coefficients are kept as one shared ``Plateaus``.  The net's
-        domain avoids the cell boundaries; it is built when a term or
-        profile of it is first asked for.
+        rational sample points).  When f has ``values_at``, the cells' points
+        are written as integers over one denominator in one pass over the
+        level plan, and every cell where the domain has a profile gets its
+        exact value from one call of it, with no witness made or kept; other
+        cells go through ``zeta``.  The coefficients are kept as one shared
+        ``Plateaus``.  The net's domain avoids the cell boundaries; it is
+        built when a term or profile of it is first asked for.
         """
         return self._nets(alpha)
-
-    def _build_net(self, alpha: NetIndex) -> Summable:
-        m, cells = alpha.level, alpha.cells
-        exact, values = [False] * len(cells), iter(())
-        if self.f.values_at is not None:
-            # zeta's points, where the domain has a profile (the zero sequence has).
-            domain = self.f.domain
-            points = [self._point(*cell) for cell in cells]
-            exact = [domain.always_zero or domain.profile_at(xi) is not None for xi in points]
-            values = iter(self.f.values_at(list(compress(points, exact))))
-        coeffs = [next(values) if ok else rat_approx(self.f.eval(self.zeta(*cell)), m + 4)
-                  for cell, ok in zip(cells, exact)]
-        plateaus = Plateaus(coeffs)
-        cell = pow2(-m)
-
-        def grid_domain() -> RegularSeq:
-            boundaries = [Fraction(l, 1 << m) for l in range(1, 1 << m)]
-            avoid = point_avoiding_seq(boundaries, name=f"grid({m})") if boundaries \
-                else RegularSeq.zero()
-            return intersect_pair(avoid, self.f.domain, name=f"netdom({m})")
-
-        dom = _built_on_first_use(grid_domain, name=f"netdom({m})")
-
-        def locate(xt: Fraction, r: Fraction) -> Optional[Fraction]:
-            idx = min(int(xt * (1 << m)), (1 << m) - 1)
-            lo = idx * cell
-            if lo + r < xt < lo + cell - r:
-                return plateaus[idx]
-            return None
-
-        def evaluator(wit: DomainWitness) -> CReal:
-            return refine_until_decided(wit.x, m + 2, 2, locate,
-                                        "cell location exceeded the budget")
-
-        base = AEFunction(dom, evaluator, name=f"net({self.name},m={m})")
-        out = Summable(base, lambda j: step_function(plateaus, m, j), name=base.name)
-        out.coefficient_sum = Fraction(plateaus.total, plateaus.den << m)
-        return out
 
     # -- probing and conversion ------------------------------------------------------
 
@@ -370,14 +298,11 @@ class Bridge:
         levels; successive L1 bounds are certified exactly as the limit's
         terms materialize, and a failure names the offending index.
         """
-        def choose(j: int) -> NetIndex:
-            floor = alpha(j - 1).level if j else 0
-            lvl = max(cert(pow2(-(j + 1))).level + 1, floor)
-            return NetIndex.uniform(lvl, lvl)
-
-        alpha = Memo(choose)
-        return limit_of_summables(lambda j: self.net(alpha(j)),
-                                  name=name or f"lebesgue({self.name})")
+        # Net j is canonical at the largest level one above cert(2**-(i+1)), i <= j.
+        above = Memo(lambda i: cert(pow2(-(i + 1))).level + 1)
+        return limit_of_summables(
+            lambda j: self.net(NetIndex.canonical(max(map(above, range(j + 1))))),
+            name=name or f"lebesgue({self.name})")
 
     def equality_check(self, g: Summable, n: int, samples: int, q: int,
                        seed: int) -> dict:
@@ -434,7 +359,8 @@ class Bridge:
         passes = 0
         for l in sorted(chosen):
             t = Fraction(3 * rng.randrange(32) + 1, 96)
-            wit, xi = self._sample_in(l, m_s, n, t, "sample")
+            wit, xi = _sample_in(self._plans, self._gamma_unions, self.f.domain,
+                                 l, m_s, n, t, "sample")
             f_val = self.f.eval(wit).approx(q + 2)
             x_for_g = clamp01(xi if xi is not None else wit.x.approx(q + m_s + 8))
             g_val = g_grid.eval(x_for_g)
@@ -462,6 +388,134 @@ class Bridge:
         }
 
 
+def _piece(plans: Memo, k: int, m: int, n: int):
+    """False when the cell fails ``theta``; else the largest component of
+    its part of the realized set, or None when that is the whole cell."""
+    if not 0 <= k < (1 << m):
+        raise ValueError(f"cell index {k} out of range at level {m}")
+    starts, runs = plans((m, n))
+    i = bisect_right(starts, k) - 1
+    return runs[i][2] if i >= 0 and k < runs[i][1] else False
+
+
+def _level_plan(gammas: Memo, m: int, n: int):
+    """The cells passing ``theta`` at level m, from one sweep of the realized
+    set: sorted runs ``(start, stop, piece)`` of cells inside a component
+    (piece None), or one partly covered cell with its largest piece."""
+    scale, runs, partial = 1 << m, [], {}
+    for a, b in gammas((n, _gamma_depth(m, n))).ivs:
+        # Cells first..last meet (a, b); cells full..stop-1 lie inside it.
+        first, full = floor(a * scale), ceil(a * scale)
+        stop, last = floor(b * scale), ceil(b * scale) - 1
+        if full < stop:
+            runs.append((full, stop, None))
+        for k in {first, last}:
+            if not full <= k < stop:
+                lo, hi = _cell_bounds(k, m)
+                partial.setdefault(k, []).append((max(a, lo), min(b, hi)))
+    for k, pieces in partial.items():
+        part = IntervalUnion(pieces, _trusted=True)
+        if part.length > pow2(-2 * m) / 2:
+            runs.append((k, k + 1, part.largest_component()))
+    runs.sort()
+    return [r[0] for r in runs], runs
+
+
+def _point(plans: Memo, k: int, m: int, n: int, t: Fraction = THIRD) -> Fraction:
+    """The point at fraction t of the cell's plan piece, or of the cell."""
+    piece = _piece(plans, k, m, n)
+    if piece:
+        a, b = piece
+        return a + (b - a) * t
+    return Fraction(k * t.denominator + t.numerator, t.denominator << m)
+
+
+def _sample_grid(plans: Memo, alpha: NetIndex):
+    """The cells' ``zeta`` points as integer numerators over one denominator.
+
+    A uniform index reads its few plan pieces (a, b), sampled at (2a + b)
+    / 3, off the plan's runs; every other cell k samples (3k + 1) / (3 *
+    2**m).  The points of explicit cells are found one by one.
+    """
+    m, cells = alpha.level, alpha.cells
+    if isinstance(cells, UniformCells):
+        odd = {k: (2 * p[0] + p[1]) / 3 for k, _, p in plans((m, cells.depth))[1] if p}
+    else:
+        odd = dict(enumerate(_point(plans, *cell) for cell in cells))
+    den = lcm(3 << m, *(x.denominator for x in odd.values()))
+    unit = den // (3 << m)
+    nums = list(range(unit, (3 * unit) << m, 3 * unit))
+    for l, x in odd.items():
+        nums[l] = x.numerator * (den // x.denominator)
+    return nums, den
+
+
+def _sample_in(plans: Memo, gammas: Memo, domain: RegularSeq, k: int, m: int, n: int,
+               t: Fraction, name: str):
+    """A witnessed point in a cell, and the rational point, or None for a
+    realized point.
+
+    Takes the point at fraction t of the cell's plan piece, or of a cell
+    failing ``theta``; it carries an exact witness where the domain has a
+    profile.  Otherwise a point of the cell's part of the realized set (of
+    the cell, when it fails ``theta``) is realized and transported to f's
+    domain.
+    """
+    xi = _point(plans, k, m, n, t)
+    prof = domain.profile_at(xi)
+    if prof is not None:
+        return DomainWitness(x=CReal.from_rational(xi), gamma=prof.total), xi
+    lo, hi = _cell_bounds(k, m)
+    if _piece(plans, k, m, n) is False:
+        shift = 2 * m + 6
+        realized = realize_point(_cell_trapezoid(lo, hi), domain.shifted(shift), shift)
+        extra = sum((domain.term(i).max_value() for i in range(shift)), ZERO)
+        return DomainWitness(x=realized.point, gamma=realized.bound + extra), None
+    union = gammas((n, _gamma_depth(m, n))).intersect_interval(lo, hi)
+    ms = char_of_interval_union(union, extra_domain=domain,
+                                name=f"{name}({k},{m},{n})")
+    return row_witness(point_in_positive_set(ms, prefix=2 * m + 8), 1), None
+
+
+def _build_net(alpha: NetIndex, plans: Memo, zeta: Callable, f: AEFunction,
+               name: str) -> Summable:
+    m, cells, domain = alpha.level, alpha.cells, f.domain
+    exact, values, den = [False] * len(cells), [], 1
+    if f.values_at is not None:
+        # zeta's points, where the domain has a profile (the zero sequence has).
+        points, pden = _sample_grid(plans, alpha)
+        exact = domain.profiled(points, pden)
+        values, den = f.values_at(list(compress(points, exact)), pden)
+    rest = [rat_approx(f.eval(zeta(*cells[l])), m + 4) for l, ok in enumerate(exact) if not ok]
+    common, got, fell = lcm(den, *(v.denominator for v in rest)), iter(values), iter(rest)
+    plateaus = Plateaus.from_integers(
+        [next(got) * (common // den) if ok else int(next(fell) * common) for ok in exact], common)
+    cell = pow2(-m)
+
+    def grid_domain() -> RegularSeq:
+        avoid = point_avoiding_seq([Fraction(l, 1 << m) for l in range(1, 1 << m)],
+                                   name=f"grid({m})")
+        return intersect_pair(avoid, domain, name=f"netdom({m})")
+
+    dom = _built_on_first_use(grid_domain, name=f"netdom({m})")
+
+    def locate(xt: Fraction, r: Fraction) -> Optional[Fraction]:
+        idx = min(int(xt * (1 << m)), (1 << m) - 1)
+        lo = idx * cell
+        if lo + r < xt < lo + cell - r:
+            return plateaus[idx]
+        return None
+
+    def evaluator(wit: DomainWitness) -> CReal:
+        return refine_until_decided(wit.x, m + 2, 2, locate,
+                                    "cell location exceeded the budget")
+
+    base = AEFunction(dom, evaluator, name=f"net({name},m={m})")
+    out = Summable(base, lambda j: step_function(plateaus, m, j), name=base.name)
+    out.coefficient_sum = Fraction(plateaus.total, plateaus.den << m)
+    return out
+
+
 def _cell_trapezoid(lo: Fraction, hi: Fraction) -> Polygonal:
     """Plateau bump supported inside (lo, hi), integral 3/4 of the length."""
     w = (hi - lo) / 4
@@ -476,12 +530,11 @@ def _cell_trapezoid(lo: Fraction, hi: Fraction) -> Polygonal:
 
 
 def _gamma_depth(m: int, n: int) -> int:
-    allow = pow2(-2 * m) / 4
+    """The least k >= n with tail 3 * (3/4)**k at most 4**-m / 4, that is
+    with 12 * 3**k * 4**m <= 4**k."""
     k = max(n, 0)
-    tail = 3 * THREE_QUARTERS ** k
-    while tail > allow:
+    while (12 * 3 ** k) << 2 * m > 1 << 2 * k:
         k += 1
-        tail = tail * 3 / 4
     return k
 
 

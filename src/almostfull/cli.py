@@ -10,6 +10,7 @@ every bounded search.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -197,10 +198,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: parsing reads it and never changes it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:

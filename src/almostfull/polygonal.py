@@ -111,27 +111,31 @@ class Polygonal:
     # -- basic queries ---------------------------------------------------------
 
     def eval(self, x) -> Fraction:
-        """Exact value at a rational point of [0, 1]."""
-        return self.values_at((x if type(x) is Fraction else Fraction(x),))[0]
+        """Exact value at a rational point of [0, 1]: one point of ``values_at``."""
+        x = x if type(x) is Fraction else Fraction(x)
+        (num,), den = self.values_at((x.numerator,), x.denominator)
+        return Fraction(num, den)
 
-    def values_at(self, points: Sequence[Fraction]) -> list:
-        """Exact values at sorted rational points of [0, 1], in one merge with the nodes."""
-        xs, v, xd, vd = self._x, self._v, self._xd, self._vd
-        out, i = [], 0
-        for t in points:
-            p, q = t.numerator, t.denominator
-            if not 0 <= p <= q:
-                raise ValueError(f"point {t} outside [0, 1]")
+    def values_at(self, nums: Sequence[int], den: int):
+        """Exact values at the sorted points ``nums[i] / den`` of [0, 1], in one
+        merge with the nodes: ``(out, d)``, value i being ``out[i] / d``."""
+        xs, v, xd = self._x, self._v, self._xd
+        # Value i is t / (vd * den * d) for its pair (t, d); at a node d is 1,
+        # else the width of the segment, and w is the lcm of the widths.
+        out, i, w = [], 0, 1
+        for p in nums:
+            if not 0 <= p <= den:
+                raise ValueError(f"point {Fraction(p, den)} outside [0, 1]")
             px = p * xd
-            i = bisect_right(xs, px // q, i) - 1
+            i = bisect_right(xs, px // den, i) - 1
             x0 = xs[i]
-            if x0 * q == px:
-                out.append(Fraction(v[i], vd))
+            if x0 * den == px:
+                out.append((v[i] * den, 1))
             else:
                 x1 = xs[i + 1]
-                out.append(Fraction(v[i] * (x1 * q - px) + v[i + 1] * (px - x0 * q),
-                                    vd * q * (x1 - x0)))
-        return out
+                out.append((v[i] * (x1 * den - px) + v[i + 1] * (px - x0 * den), x1 - x0))
+                w = lcm(w, x1 - x0)
+        return [t * (w // d) for t, d in out], self._vd * den * w
 
     def _trapezoids(self, i: int, j: int) -> int:
         """Twice the integral from node i to node j, as a numerator over ``xd * vd``."""
@@ -672,6 +676,14 @@ class Plateaus:
         self.den = den
         self.total = sum(self.nums)
         self.abs_total = sum(map(abs, self.nums))
+
+    @classmethod
+    def from_integers(cls, nums: Sequence[int], den: int) -> "Plateaus":
+        """Values ``nums[l] / den``, in the canonical form the rationals give."""
+        out, g = cls.__new__(cls), gcd(den, *nums)
+        out.nums, out.den = tuple(n // g for n in nums), den // g
+        out.total, out.abs_total = sum(out.nums), sum(map(abs, out.nums))
+        return out
 
     def __len__(self) -> int:
         return len(self.nums)

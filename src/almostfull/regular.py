@@ -45,11 +45,13 @@ class RegularSeq:
     Terms are generated on demand, memoized, and checked exactly at
     generation time: a violating term raises RegularityError.  Generators
     must be pure, so concurrent readers always observe identical terms.
+    ``avoids``, when known, is the finite set of points where ``profile_at``
+    is None; everywhere else the profile has a known ``vanish_from``.
     """
 
     def __init__(self, gen: Callable[[int], Polygonal], name: str = "",
                  profile: Optional[Callable[[Fraction], Optional[TailProfile]]] = None,
-                 always_zero: bool = False):
+                 avoids: Optional[Sequence[Fraction]] = None):
         label = name or "sequence"
 
         def checked(n: int) -> Polygonal:
@@ -66,8 +68,7 @@ class RegularSeq:
         self._terms = Memo(checked)
         self._profile = profile
         self.name = name
-        # Marks sequences known to be identically zero, enabling shortcuts.
-        self.always_zero = always_zero
+        self.avoids = avoids
 
     def term(self, n: int) -> Polygonal:
         if n < 0:
@@ -96,6 +97,14 @@ class RegularSeq:
             return None
         return self._profile(x if type(x) is Fraction else Fraction(x))
 
+    def profiled(self, nums: Sequence[int], den: int) -> list:
+        """Whether ``profile_at(n / den)`` is not None for each n, from ``avoids`` if known."""
+        if self.avoids is None:
+            return [self.profile_at(Fraction(n, den)) is not None for n in nums]
+        off = {a.numerator * (den // a.denominator) for a in self.avoids
+               if den % a.denominator == 0}
+        return [n not in off for n in nums]
+
     def shifted(self, s: int) -> "RegularSeq":
         """The sequence ``n -> h_{n+s}``; regularity is inherited."""
         if s < 0:
@@ -120,7 +129,7 @@ class RegularSeq:
         z = Polygonal.constant(0)
         return RegularSeq(lambda n: z, name="zero",
                           profile=lambda x: TailProfile(total=ZERO, vanish_from=0),
-                          always_zero=True)
+                          avoids=())
 
     @staticmethod
     def from_terms(terms: Sequence[Polygonal], name: str = "") -> "RegularSeq":
@@ -205,7 +214,7 @@ def point_avoiding_seq(points: Sequence, name: str = "") -> RegularSeq:
             vanish = max(vanish, n)
         return TailProfile(total=Fraction(total, big), vanish_from=vanish)
 
-    return RegularSeq(gen, name=name or "avoid", profile=profile)
+    return RegularSeq(gen, name=name or "avoid", profile=profile, avoids=tuple(pts))
 
 
 @dataclass(frozen=True)
@@ -426,8 +435,11 @@ def intersect_countable(rows: Callable[[int], RegularSeq] | Sequence[RegularSeq]
             out = piece if out is None else out + piece
         return out if out is not None else Polygonal.constant(0)
 
-    profile = None
+    profile = avoids = None
     if zero_from is not None:
+        if all(r.avoids is not None for r in seqs):
+            avoids = tuple(sorted({a for r in seqs for a in r.avoids}))
+
         def profile(x):
             total = ZERO
             vanish = 0
@@ -441,7 +453,7 @@ def intersect_countable(rows: Callable[[int], RegularSeq] | Sequence[RegularSeq]
                 vanish = max(vanish, n + p.vanish_from)
             return TailProfile(total=total, vanish_from=vanish)
 
-    return RegularSeq(gen, name=name or "intersection", profile=profile)
+    return RegularSeq(gen, name=name or "intersection", profile=profile, avoids=avoids)
 
 
 def row_witness(w: DomainWitness, n: int) -> DomainWitness:

@@ -1,11 +1,12 @@
 """Command-line harness: formats, exit codes, determinism."""
 
+import argparse
 import json
 from fractions import Fraction
 
 import pytest
 
-from almostfull import Polygonal, from_ratstr, pow2
+from almostfull import Polygonal, cli, from_ratstr, pow2
 from almostfull.cli import main
 
 F = Fraction
@@ -193,3 +194,27 @@ class TestDeterminism:
         _, out2, _ = run(capsys, "verify", "--suite", "regularity", "--seed", "2")
         assert json.loads(out1)["results"]["ok"]
         assert json.loads(out2)["results"]["ok"]
+
+
+class TestParser:
+    def test_built_once_and_left_unchanged(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._parser.cache_clear()
+        try:
+            calls = [("integrate", "--function", "identity", "--precision", "3"),
+                     ("integrate", "--precision", "-1", "--function", "identity"),
+                     ("net-table", "--help"), ("verify",)]
+            first = [run(capsys, *argv) for argv in calls]
+            assert [r[0] for r in first] == [0, 2, 0, 2]
+            assert built.count("almostfull") == 1
+            assert [run(capsys, *argv) for argv in calls] == first
+            assert built.count("almostfull") == 1
+        finally:
+            cli._parser.cache_clear()
