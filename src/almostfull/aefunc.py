@@ -21,7 +21,7 @@ from .errors import BudgetExhausted, CertificationError
 from .exact import (CReal, Memo, budget_cap, ceil_log2, pow2,
                     refine_until_decided, to_ratstr)
 from .polygonal import (IntervalUnion, Polygonal, l1_distance, l1_upper,
-                        union_indicator)
+                        linear_sum, union_indicator)
 from .regular import (DomainWitness, RegularSeq, geometric_decay,
                       intersect_countable, intersect_pair, point_avoiding_seq,
                       realize_point, row_witness)
@@ -411,14 +411,11 @@ def limit_of_summables(seq: Callable[[int], Summable],
                        name=f"diag-gaps[{name}]")
 
     def staircase(n: int) -> Polygonal:
-        out = None
+        pieces = []
         for k in range(n + 3):
             fk = f(n + 2 - k)
-            piece = abs(fk.term(n + 4 + k) - fk.term(n + 2 + k))
-            if piece.is_zero():
-                continue
-            out = piece if out is None else out + piece
-        return out if out is not None else _ZERO_POLY
+            pieces.append((1, abs(fk.term(n + 4 + k) - fk.term(n + 2 + k))))
+        return linear_sum(pieces)
 
     stairs = RegularSeq(staircase, name=f"stair-gaps[{name}]")
     dec_delta, _ = geometric_decay(delta)
@@ -543,13 +540,14 @@ def countable_set_intersection(sets: Callable[[int], MeasurableSet] | Sequence[M
     cap = budget_cap(4096)
 
     def cut(j: int) -> int:
-        nu = thin(j - 1) if j else 0
-        target = pow2(-j - 1)
-        while defect_tail(nu) >= target:
-            nu += 1
-            if nu > cap:
-                raise BudgetExhausted(
-                    "defect tail does not shrink; series may diverge", needed=nu)
+        # The greedy walk is replayed from 0, so the table never reads itself.
+        nu = 0
+        for i in range(j + 1):
+            while defect_tail(nu) >= pow2(-i - 1):
+                nu += 1
+                if nu > cap:
+                    raise BudgetExhausted(
+                        "defect tail does not shrink; series may diverge", needed=nu)
         return nu
 
     thin = Memo(cut)

@@ -16,7 +16,7 @@ nodes as tuples of ``Fraction``, built on first use.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import compress, count, repeat
 from math import gcd, lcm
@@ -187,18 +187,17 @@ class Polygonal:
             self._lipschitz = Fraction(rise * self._xd, run * self._vd)
         return self._lipschitz
 
-    def support(self):
-        """``(a, b, d)``: the function is 0 outside ``[a / d, b / d]``; None when it is 0.
+    def vanishes_on(self, lo, hi) -> bool:
+        """Whether the function is identically 0 on ``[lo, hi]``, for ``lo < hi``.
 
-        The ends are the nodes just outside the first and last nonzero
-        values, as numerators over the breakpoints' denominator d.
+        True when every node from the last one at or before lo to the first
+        one at or after hi is 0; for a nonnegative function that is exactly
+        ``integral_on(lo, hi) == 0``.
         """
-        v = self._v
-        nonzero = [i for i, t in enumerate(v) if t]
-        if not nonzero:
-            return None
-        x = self._x
-        return x[max(nonzero[0] - 1, 0)], x[min(nonzero[-1] + 1, len(x) - 1)], self._xd
+        x, xd = self._x, self._xd
+        i = bisect_right(x, lo.numerator * xd // lo.denominator) - 1
+        j = bisect_left(x, -(-hi.numerator * xd // hi.denominator), i)
+        return not any(self._v[i:j + 1])
 
     def min_value(self) -> Fraction:
         return Fraction(min(self._v), self._vd)
@@ -341,8 +340,7 @@ def _merge(a: Polygonal, b: Polygonal):
     functions' values at every grid point as numerators over one ``vd``.
     """
     xd = lcm(a._xd, b._xd)
-    ax = a._x if xd == a._xd else tuple(map(mul, a._x, repeat(xd // a._xd)))
-    bx = b._x if xd == b._xd else tuple(map(mul, b._x, repeat(xd // b._xd)))
+    ax, bx = _nodes_over(a, xd), _nodes_over(b, xd)
     if ax == bx:
         grid, at = ax, None
     else:
@@ -356,6 +354,38 @@ def _merge(a: Polygonal, b: Polygonal):
     if vd != db:
         vb = list(map(mul, vb, repeat(vd // db)))
     return grid, xd, va, vb, vd
+
+
+def _nodes_over(h: Polygonal, xd: int):
+    """h's breakpoint numerators over ``xd``, a multiple of ``h._xd``."""
+    return h._x if xd == h._xd else tuple(map(mul, h._x, repeat(xd // h._xd)))
+
+
+def linear_sum(pairs: Iterable) -> Polygonal:
+    """``sum c * h`` over the pairs ``(c, h)``, in one merge of all breakpoints.
+
+    Each term is resampled onto the union of every term's breakpoints and
+    added, scaled by c, into one running list of numerators over one
+    denominator, so only one resampled column is held at a time and no
+    intermediate polygonal is built.  Equals the fold of ``*`` and ``+``.
+    """
+    pairs = [(c, h) for c, h in ((Fraction(c), h) for c, h in pairs)
+             if c and not h.is_zero()]
+    if not pairs:
+        return Polygonal.constant(0)
+    xd = lcm(*(h._xd for _, h in pairs))
+    grid = sorted(set().union(*(_nodes_over(h, xd) for _, h in pairs)))
+    at = dict(zip(grid, count()))
+    acc, den = repeat(0, len(grid)), 1
+    for c, h in pairs:
+        col, d = _resample(_nodes_over(h, xd), h._v, h._vd, grid, at)
+        d *= c.denominator
+        common = lcm(den, d)
+        if common != den:
+            acc = map(mul, acc, repeat(common // den))
+        acc = list(map(add, acc, map(mul, col, repeat(c.numerator * (common // d)))))
+        den = common
+    return Polygonal.from_integers(grid, xd, acc, den)
 
 
 def _resample(x, v, vd, grid, at):

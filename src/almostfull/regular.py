@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import BudgetExhausted, CertificationError, RegularityError
 from .exact import CReal, Memo, budget_cap, ceil_log2, clamp01, pow2
-from .polygonal import Polygonal
+from .polygonal import Polygonal, linear_sum
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -276,10 +276,11 @@ class _Bisection:
     an exact margin  M = int_I (h - eps) - sum_{n<=K} (1+eps)^n int_I h_n - T(K),
     where T(K) bounds the remaining tail.  M stays positive: extending K can
     only increase it, and after arranging T(K) <= M/2 at least one half of I
-    keeps a positive margin.  Each term's support is read once per index,
-    which still generates and checks the term; a term whose support meets I
-    in at most a point adds exactly 0 and is skipped, by an integer
-    comparison, without integrating it.
+    keeps a positive margin.  The walk keeps the indices of the terms that
+    are not identically 0 on the last interval, and integrates only those: a
+    term dead on I adds exactly 0 there and on both halves, so each step
+    filters the live list with an exact vanishing test, and a new prefix
+    term is tested once, against the interval it joins.
     """
 
     CHUNK = 4
@@ -289,36 +290,30 @@ class _Bisection:
         self.h = h
         self.seq = seq
         self.eps = eps
-        self.lam = (1 + eps) / 2
+        lam = (1 + eps) / 2
         self.depth_cap = depth_cap
         self._lock = RLock()
         growth = 1 + eps
         self._pow = Memo(lambda n: growth ** n)
-        self._support = Memo(lambda n: seq.term(n).support())
-        # chain entries: (lo, hi, K, margin)
-        self.chain = [(ZERO, ONE, k0, self._margin(ZERO, ONE, k0))]
+        self.tail = Memo(lambda k: lam ** (k + 1) / (1 - lam))
+        # chain entries: (lo, hi, K, margin); _live: the terms alive on chain[-1].
+        self._live = self._alive(range(k0 + 1), ZERO, ONE)
+        self.chain = [(ZERO, ONE, k0, self._margin(ZERO, ONE, k0, self._live))]
 
-    def tail(self, k: int) -> Fraction:
-        return self.lam ** (k + 1) / (1 - self.lam)
+    def _alive(self, indices, lo, hi) -> list:
+        term = self.seq.term
+        return [n for n in indices if not term(n).vanishes_on(lo, hi)]
 
-    def _weighted(self, lo, hi, n_from, n_to) -> Fraction:
-        total = ZERO
-        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-        for n in range(n_from, n_to + 1):
-            support = self._support(n)
-            if support is None:
-                continue
-            a, b, d = support
-            if b * ld <= ln * d or hn * d <= a * hd:
-                continue
-            total += self._pow(n) * self.seq.term(n).integral_on(lo, hi)
-        return total
+    def _weighted(self, lo, hi, live) -> Fraction:
+        term, pw = self.seq.term, self._pow
+        return sum((pw(n) * term(n).integral_on(lo, hi) for n in live), ZERO)
 
-    def _margin(self, lo, hi, k) -> Fraction:
-        d = self.h.integral_on(lo, hi) - self.eps * (hi - lo) - self._weighted(lo, hi, 0, k)
+    def _margin(self, lo, hi, k, live) -> Fraction:
+        d = self.h.integral_on(lo, hi) - self.eps * (hi - lo) - self._weighted(lo, hi, live)
         return d - self.tail(k)
 
     def refine_to(self, depth: int) -> None:
+        tail = self.tail
         with self._lock:
             while len(self.chain) - 1 < depth:
                 if len(self.chain) - 1 >= self.depth_cap:
@@ -326,21 +321,26 @@ class _Bisection:
                         "bisection depth cap reached during realization",
                         needed=depth)
                 lo, hi, k, margin = self.chain[-1]
+                live = self._live
                 # Deepen the prefix until the tail is dominated.
-                while self.tail(k) > margin / 2:
+                while tail(k) > margin / 2:
                     k2 = k + self.CHUNK
-                    margin += (self.tail(k) - self.tail(k2)) - self._weighted(lo, hi, k + 1, k2)
-                    k = k2
+                    new = self._alive(range(k + 1, k2 + 1), lo, hi)
+                    margin += (tail(k) - tail(k2)) - self._weighted(lo, hi, new)
+                    live, k = live + new, k2
                 mid = (lo + hi) / 2
-                left = self._margin(lo, mid, k)
+                left_live = self._alive(live, lo, mid)
+                left = self._margin(lo, mid, k, left_live)
                 if left > 0:
                     self.chain.append((lo, mid, k, left))
+                    self._live = left_live
                 else:
-                    right = (margin - self.tail(k)) - left
+                    right = (margin - tail(k)) - left
                     if not right > 0:
                         raise CertificationError(
                             "bisection invariant lost; underlying certificates inconsistent")
                     self.chain.append((mid, hi, k, right))
+                    self._live = self._alive(live, mid, hi)
 
     def point(self) -> CReal:
         def fn(p: int) -> Fraction:
@@ -421,19 +421,15 @@ def intersect_countable(rows: Callable[[int], RegularSeq] | Sequence[RegularSeq]
 
     def gen(k: int) -> Polygonal:
         top = k if zero_from is None else min(k, zero_from - 1)
-        out = None
+        pairs = []
         for n in range(top + 1):
             try:
-                term = row(n).term(k - n)
+                pairs.append((pow2(-(2 * n + 1)), row(n).term(k - n)))
             except RegularityError as exc:
                 raise RegularityError(
                     f"row {n} violates regularity at index {k - n}",
                     index=(n, k - n)) from exc
-            if term.is_zero():
-                continue
-            piece = term * pow2(-(2 * n + 1))
-            out = piece if out is None else out + piece
-        return out if out is not None else Polygonal.constant(0)
+        return linear_sum(pairs)
 
     profile = avoids = None
     if zero_from is not None:
@@ -441,6 +437,7 @@ def intersect_countable(rows: Callable[[int], RegularSeq] | Sequence[RegularSeq]
             avoids = tuple(sorted({a for r in seqs for a in r.avoids}))
 
         def profile(x):
+            # Every row is read: the profile exists only where all rows have one.
             total = ZERO
             vanish = 0
             for n in range(zero_from):
@@ -448,9 +445,8 @@ def intersect_countable(rows: Callable[[int], RegularSeq] | Sequence[RegularSeq]
                 if p is None:
                     return None
                 total += pow2(-(2 * n + 1)) * p.total
-                if p.vanish_from is None:
-                    return TailProfile(total=total, vanish_from=None)
-                vanish = max(vanish, n + p.vanish_from)
+                if vanish is not None:
+                    vanish = None if p.vanish_from is None else max(vanish, n + p.vanish_from)
             return TailProfile(total=total, vanish_from=vanish)
 
     return RegularSeq(gen, name=name or "intersection", profile=profile, avoids=avoids)
@@ -478,13 +474,8 @@ def geometric_decay(seq: RegularSeq, name: str = ""):
     four_thirds = Fraction(4, 3)
 
     def gen(n: int) -> Polygonal:
-        a = seq.term(2 * n)
-        b = seq.term(2 * n + 1)
-        ca = four_thirds ** (2 * n) / 2
-        cb = four_thirds ** (2 * n + 1) / 2
-        if a.is_zero() and b.is_zero():
-            return Polygonal.constant(0)
-        return a * ca + b * cb
+        return linear_sum(((four_thirds ** (2 * n) / 2, seq.term(2 * n)),
+                           (four_thirds ** (2 * n + 1) / 2, seq.term(2 * n + 1))))
 
     def profile(x):
         p = seq.profile_at(x)

@@ -467,6 +467,21 @@ class TestFreedWithoutCollector:
         assert self._freed(lambda: limit_of_summables(lambda n: tent),
                            lambda s: s.term(3))
 
+    def test_countable_set_intersection(self):
+        full = char_of(0, 1)
+        gc.collect()
+        gc.disable()
+        try:
+            meet, _ = countable_set_intersection(
+                lambda n: full, lambda n: pow2(-(n + 4)), lambda n: pow2(-(n + 4)))
+            ref = weakref.ref(meet.characteristic)
+            del meet
+            assert ref() is None
+            # Nothing the call made is left for the collector either.
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestCertifyGap:
     def test_certified_depth_returned(self):

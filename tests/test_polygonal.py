@@ -11,7 +11,7 @@ from almostfull import (CReal, DyadicInterval, IntervalUnion, Polygonal,
                         union_indicator)
 from almostfull.exact import clamp01
 from almostfull.polygonal import (Plateaus, StepPolygonal, l1_distance,
-                                  l1_upper, step_plateau_l1)
+                                  l1_upper, linear_sum, step_plateau_l1)
 
 F = Fraction
 HALF = F(1, 2)
@@ -523,3 +523,27 @@ class TestIntegerNodes:
         den = 3 << (m + j + 2)
         for num in random.Random(den).sample(range(den + 1), min(den + 1, 60)):
             assert s.eval(F(num, den)) == ref_eval(s, F(num, den))
+
+
+weights = st.one_of(st.just(F(0)), st.fractions(min_value=-5, max_value=5,
+                                                max_denominator=12))
+terms = st.one_of(st.just(Polygonal.constant(0)), mixed_polys())
+
+
+class TestLinearSum:
+    @given(st.lists(st.tuples(weights, terms), min_size=1, max_size=4))
+    @settings(max_examples=100)
+    def test_equals_pairwise_fold(self, pairs):
+        # One pair, zero weights and zero terms are among the draws.
+        fold = Polygonal.constant(0)
+        for c, h in pairs:
+            fold = fold + h * c
+        assert linear_sum(pairs) == fold
+        assert linear_sum(iter(pairs)) == fold
+
+    def test_empty_single_and_cancelling_sums(self):
+        h = Polygonal.tent(F(1, 3), F(2, 7), F(1, 5))
+        assert linear_sum([]) == Polygonal.constant(0)
+        assert linear_sum([(F(-2, 9), h)]) == h * F(-2, 9)
+        assert linear_sum([(F(1, 3), h), (F(-1, 3), h)]) == Polygonal.constant(0)
+        assert linear_sum([(2, h), (1, Polygonal.identity())]) == h * 2 + Polygonal.identity()

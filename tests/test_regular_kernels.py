@@ -5,15 +5,17 @@ intersections of ``point_avoiding_seq`` (points k/127) and for
 ``tents_at_center_seq()``, the realized point of ``point_in_pps`` to 60 bits
 and ``realize_point``'s bound, epsilon, margin and prefix; the exact
 ``profile_at`` totals and ``vanish_from`` of avoidance sequences at twenty
-rationals; and one bridge realization fallback.  Regenerate with
-``PYTHONPATH=src python tests/test_regular_kernels.py`` (a change that moves
-it must say so in CHANGES.md).
+rationals; and one bridge realization fallback.  All eight walks there
+converge to 0, so ``tests/golden/realized-points-interior.json`` pins the
+full chain of two walks that converge to interior points.  Regenerate both
+with ``PYTHONPATH=src python tests/test_regular_kernels.py`` (a change that
+moves them must say so in CHANGES.md).
 
-The integer kernels are also held to exact equality with the ``Fraction``
-loops they replaced (tents, avoidance terms and profiles, supports, and the
-bisection chain against a walk that integrates every term; ``integral_on``
-is checked against its reference in ``test_polygonal.py``), and one realized
-point is approximated from eight threads at once.
+The integer kernels are also held to exact equality with ``Fraction``
+reference loops (tents, avoidance terms and profiles, the vanishing test,
+and the bisection chain against a walk that integrates every nonzero term;
+``integral_on`` is checked against its reference in ``test_polygonal.py``),
+and one realized point is approximated from eight threads at once.
 """
 
 import json
@@ -26,16 +28,20 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from almostfull import (AEFunction, Bridge, Polygonal, TailProfile, intersect_countable,
-                        point_avoiding_seq, point_in_pps, pow2, realize_point,
-                        to_ratstr)
+from almostfull import (AEFunction, Bridge, Polygonal, RegularSeq, TailProfile,
+                        intersect_countable, point_avoiding_seq, point_in_pps, pow2,
+                        realize_point, to_ratstr)
 from almostfull.catalog import tents_at_center_seq
 from almostfull.regular import _Bisection
-from test_polygonal import mixed_polys, ref_integral_on
+from test_polygonal import mixed_polys, ref_eval, ref_integral_on
 
 F = Fraction
 ZERO, ONE = F(0), F(1)
 GOLDEN = Path(__file__).resolve().parent / "golden" / "realized-points.json"
+INTERIOR_GOLDEN = GOLDEN.with_name("realized-points-interior.json")
+# Rows of avoided points k/127 whose walks converge to an interior point.
+INTERIOR_ROWS = {"to-1/16": [[3, 24], [42, 117], [29, 41]],
+                 "to-5/32": [[12, 15], [101, 122], [96, 104]]}
 TENT = Polygonal.tent(F(1, 2))
 
 
@@ -111,6 +117,30 @@ def test_realized_points_match_golden():
     assert golden_text() == GOLDEN.read_text()
 
 
+def interior_seq(name):
+    return intersect_countable([point_avoiding_seq([F(k, 127) for k in r])
+                                for r in INTERIOR_ROWS[name]])
+
+
+def interior_golden_text() -> str:
+    """The full chain ``(lo, hi, K, margin)`` of each interior walk at four depths."""
+    cases = {}
+    for name in sorted(INTERIOR_ROWS):
+        walk = realized_walk(interior_seq(name))
+        walk.refine_to(60)
+        cases[name] = {"rows": INTERIOR_ROWS[name],
+                       "x60": to_ratstr(walk.point().approx(60)),
+                       "chain": {str(d): [to_ratstr(walk.chain[d][0]),
+                                          to_ratstr(walk.chain[d][1]), walk.chain[d][2],
+                                          to_ratstr(walk.chain[d][3])]
+                                 for d in (1, 20, 40, 60)}}
+    return json.dumps(cases, indent=1, sort_keys=True) + "\n"
+
+
+def test_interior_walks_match_golden():
+    assert interior_golden_text() == INTERIOR_GOLDEN.read_text()
+
+
 # Reference Fraction loops: the rational algorithms the integer kernels replace.
 
 def ref_tent(center, height=ONE, half_width=None) -> Polygonal:
@@ -168,17 +198,9 @@ def ref_profile(points, x):
     return TailProfile(total=total, vanish_from=k)
 
 
-def ref_support(h):
-    """Hull of the segments on which h is not identically 0."""
-    xs, vs = h.xs, h.vs
-    live = [i for i in range(len(xs) - 1) if vs[i] or vs[i + 1]]
-    return (xs[live[0]], xs[live[-1] + 1]) if live else None
-
-
-def ends(h):
-    """``h.support()`` as a pair of rationals."""
-    support = h.support()
-    return None if support is None else (F(support[0], support[2]), F(support[1], support[2]))
+def ref_vanishes(h, lo, hi):
+    """Whether h is 0 at lo, at hi and at every breakpoint between them."""
+    return all(ref_eval(h, t) == 0 for t in (lo, hi, *(t for t in h.xs if lo < t < hi)))
 
 
 def ref_chain(h, seq, eps, k0, depth):
@@ -264,30 +286,63 @@ class TestReferenceEquivalence:
             Polygonal.tent(F(1, 2)).integral_on(lo, hi)
 
 
-class TestSupport:
-    @given(mixed_polys(), st.booleans())
-    @settings(max_examples=300)
-    def test_zero_outside_support(self, h, clip):
+@st.composite
+def interval_on_nodes(draw, h):
+    """``lo < hi`` drawn from h's nodes, the midpoints of its segments (inside
+    any run of zeros) and arbitrary points of [0, 1]."""
+    xs = h.xs
+    probes = st.one_of(st.sampled_from(xs),
+                       st.sampled_from([(s + t) / 2 for s, t in zip(xs, xs[1:])]), unit)
+    lo, hi = sorted(draw(st.lists(probes, min_size=2, max_size=2, unique=True)))
+    return lo, hi
+
+
+class TestVanishesOn:
+    @given(mixed_polys(), st.booleans(), st.data())
+    @settings(max_examples=150)
+    def test_exactly_where_the_integral_is_zero(self, h, clip, data):
         if clip:
             # Nonnegative, with runs of zeros where h was negative.
             h = h.max_with(Polygonal.constant(0))
-        support = ends(h)
-        assert support == ref_support(h)
-        if support is None:
-            assert h.is_zero()
-            return
-        a, b = support
-        xs = h.xs
-        probes = list(xs) + [(s + t) / 2 for s, t in zip(xs, xs[1:])]
-        assert all(h.eval(t) == 0 for t in probes if t < a or t > b)
+        lo, hi = data.draw(interval_on_nodes(h))
+        assert h.vanishes_on(lo, hi) == ref_vanishes(h, lo, hi)
+        if h.is_nonneg():
+            assert h.vanishes_on(lo, hi) == (h.integral_on(lo, hi) == 0)
 
-    @given(avoided, st.integers(0, 9))
+    @given(avoided, st.integers(0, 9), unit, unit)
     @settings(max_examples=100)
-    def test_avoidance_term_support_is_hull_of_tents(self, points, k):
-        a, b = ends(point_avoiding_seq(points).term(k))
-        pts = sorted({F(p) for p in points})
-        w = ref_width(pts, k)
-        assert (a, b) == (max(ZERO, pts[0] - w), min(ONE, pts[-1] + w))
+    def test_avoidance_term_vanishes_off_its_tents(self, points, k, p, q):
+        if p == q:
+            return
+        lo, hi = min(p, q), max(p, q)
+        w = ref_width(sorted({F(c) for c in points}), k)
+        off = all(c + w <= lo or c - w >= hi for c in points)
+        assert point_avoiding_seq(points).term(k).vanishes_on(lo, hi) == off
+
+
+class TestIntersectionProfile:
+    def test_later_row_without_profile(self):
+        seq = intersect_countable([tents_at_center_seq(), point_avoiding_seq([F(1, 3)])])
+        assert seq.profile_at(F(1, 3)) is None
+
+    @given(st.lists(st.one_of(avoided.map(point_avoiding_seq),
+                              st.just(tents_at_center_seq()), st.just(RegularSeq.zero())),
+                    min_size=1, max_size=4),
+           st.one_of(st.sampled_from([ZERO, ONE, F(1, 2), F(1, 4), F(1, 3)]), unit))
+    @settings(max_examples=100)
+    def test_profile_reads_every_row(self, rows, x):
+        seq = intersect_countable(rows)
+        got = seq.profile_at(x)
+        parts = [r.profile_at(x) for r in rows]
+        assert (got is None) == any(p is None for p in parts)
+        if got is not None:
+            assert got.total == sum((pow2(-(2 * n + 1)) * p.total
+                                     for n, p in enumerate(parts)), ZERO)
+            vanish = [None if p.vanish_from is None else n + p.vanish_from
+                      for n, p in enumerate(parts)]
+            assert got.vanish_from == (None if None in vanish else max(vanish))
+        if seq.avoids is not None:
+            assert seq.profiled([x.numerator], x.denominator) == [got is not None]
 
 
 def realized_walk(seq):
@@ -342,8 +397,28 @@ class TestBisection:
         walk.refine_to(40)
         assert calls
         for h, lo, hi in calls:
-            a, b = ref_support(h)
-            assert a < hi and lo < b, (h, lo, hi)
+            assert not ref_vanishes(h, lo, hi), (h, lo, hi)
+
+    @pytest.mark.parametrize("name, hull_calls", [("to-1/16", 3124), ("to-5/32", 3160)])
+    def test_interior_walk_integrates_an_eighth_of_the_terms(self, name, hull_calls,
+                                                            monkeypatch):
+        # hull_calls: the integral_on calls to depth 60 of a walk that
+        # integrates every term whose hull of nonzero segments meets the
+        # interval; on these walks that hull covers every interval.
+        seq = interior_seq(name)
+        walk = realized_walk(seq)
+        calls = [0]
+        integral_on = Polygonal.integral_on
+
+        def counted(self, lo, hi):
+            calls[0] += 1
+            return integral_on(self, lo, hi)
+
+        monkeypatch.setattr(Polygonal, "integral_on", counted)
+        walk.refine_to(60)
+        monkeypatch.undo()
+        assert calls[0] <= hull_calls // 8
+        assert walk.chain == ref_chain(walk.h, seq, walk.eps, walk.chain[0][2], 60)
 
 
 class TestThreads:
@@ -389,3 +464,4 @@ class TestThreads:
 
 if __name__ == "__main__":
     GOLDEN.write_text(golden_text())
+    INTERIOR_GOLDEN.write_text(interior_golden_text())
