@@ -3,10 +3,10 @@
 An ``AEFunction`` pairs a regular sequence (whose almost-full set is the
 function's domain) with an evaluator from domain witnesses to certified
 reals.  A ``Summable`` adds an approximating sequence of polygonals whose
-successive L1 distances decay below ``2**-n``; its integral is the limit of
-the polygonal integrals and is reported with an explicit tail bound.  All
-decay conditions are checked exactly in rational arithmetic when terms
-materialize.
+successive L1 distances decay below ``2**-n``, and optionally a certified
+tail; its integral is read from the coarsest term the tail allows and is
+reported with that bound.  All decay conditions are checked exactly in
+rational arithmetic when terms materialize.
 """
 
 from __future__ import annotations
@@ -63,31 +63,43 @@ class Summable:
     """An a.e.-defined function together with an L1-certified approximation.
 
     ``approx(n)`` yields polygonals with ``integral |f_{n+1} - f_n| < 2**-n``,
-    converging to the function on the almost-full set of its domain.  Decay
-    bounds are verified exactly whenever two neighbouring terms have
-    materialized.  ``prefetch(summable, n)``, when given, runs under the
-    term lock before term n is produced.
+    converging to the function on the almost-full set of its domain.  A
+    declared ``tail(n)`` is an exact rational bound on ``integral |f - f_n|``
+    that telescopes, each gap at most ``tail(n) - tail(n+1)``; ``integral``
+    reads the coarsest term it allows.  Both bounds are verified exactly
+    whenever neighbouring terms materialize.
+    ``prefetch(summable, n)``, if given, runs under the term lock first.
     """
 
     def __init__(self, base: AEFunction, approx: Callable[[int], Polygonal],
                  name: str = "",
-                 prefetch: Optional[Callable[["Summable", int], None]] = None):
+                 prefetch: Optional[Callable[["Summable", int], None]] = None,
+                 *, tail: Optional[Callable[[int], Fraction]] = None):
         self.base = base
         self.name = name or base.name
         terms = self._terms = Memo(approx)
+        tails = self.tail = None if tail is None else Memo(lambda n: Fraction(tail(n)))
         where = f" in {self.name}" if self.name else ""
 
         def certify_gap(lo: int) -> None:
             bound = pow2(-lo)
+            drop = bound if tails is None else tails(lo) - tails(lo + 1)
             gap = l1_upper(terms(lo + 1), terms(lo))
-            if gap is None or not gap < bound:
+            if gap is None or not (gap < bound and gap <= drop):
                 gap = l1_distance(terms(lo + 1), terms(lo))
             if not gap < bound:
                 raise CertificationError(
                     f"approximation gap {gap} at index {lo} is not below 2^-{lo}{where}",
                     index=lo)
+            if tails is not None and gap > drop:
+                raise CertificationError(f"approximation gap {gap} at index {lo} exceeds "
+                                         f"the declared tail's drop {drop}{where}", index=lo)
+            if tails is not None and tails(lo + 1) < 0:
+                raise CertificationError(f"declared tail {tails(lo + 1)} at index "
+                                         f"{lo + 1} is negative{where}", index=lo)
 
-        # Index lo is stored once |f_{lo+1} - f_lo| is certified below 2**-lo.
+        # Index lo is stored once |f_{lo+1} - f_lo| is certified below 2**-lo
+        # (and within the declared tail's drop).
         self._gaps = Memo(certify_gap)
         self._lock = RLock()
         self._prefetch = prefetch
@@ -121,21 +133,30 @@ class Summable:
         for k in range(n + 1):
             self._term(k)
 
-    def integral(self, p: int) -> Fraction:
-        """The Lebesgue integral to precision 2**-p: exactly ``integral(f_{p+2})``."""
+    def integral_index(self, p: int) -> tuple:
+        """The index n that ``integral(p)`` reads and its bound on ``integral |f - f_n|``:
+        the least n with tail within ``2**-(p+1)``, else p + 2 by the decay chain."""
         if p < 0:
             raise ValueError("precision exponent must be >= 0")
-        return self.term(p + 2).integral()
+        bound = pow2(-(p + 1))
+        if self.tail is None:
+            return p + 2, bound
+        cap = budget_cap(4096)
+        n = next((n for n in range(cap + 1) if self.tail(n) <= bound), None)
+        if n is None:
+            raise BudgetExhausted(f"tail of {self.name} stays above {bound} up to "
+                                  f"index {cap}", needed=cap + 1)
+        return n, self.tail(n)
+
+    def integral(self, p: int) -> Fraction:
+        """The Lebesgue integral to precision 2**-p: ``f_n`` integrated exactly,
+        n from ``integral_index``."""
+        return self.term(self.integral_index(p)[0]).integral()
 
     def integral_report(self, p: int) -> dict:
-        value = self.integral(p)
-        return {
-            "function": self.name,
-            "p": p,
-            "value": to_ratstr(value),
-            "prefix_used": p + 2,
-            "tail_bound": to_ratstr(pow2(-(p + 1))),
-        }
+        n, bound = self.integral_index(p)
+        return {"function": self.name, "p": p, "value": to_ratstr(self.integral(p)),
+                "prefix_used": n, "tail_bound": to_ratstr(bound)}
 
     # -- pointwise algebra ------------------------------------------------------
 
@@ -144,14 +165,15 @@ class Summable:
         if c == 0:
             return Summable(
                 AEFunction(self.domain, lambda w: CReal.from_rational(0)),
-                lambda n: _ZERO_POLY, name=f"0*{self.name}")
-        shift = max(0, ceil_log2(abs(c)))
+                lambda n: _ZERO_POLY, name=f"0*{self.name}", tail=lambda n: ZERO)
         base = AEFunction(self.domain,
                           lambda w: self.base.evaluator(w).scale(c),
                           name=f"{c}*{self.name}")
-        return Summable(base, lambda n: self.term(n + shift) * c, name=base.name)
+        return _derived(base, lambda t: t * c, [self], max(0, ceil_log2(abs(c))),
+                        abs(c))
 
-    def _combine(self, other: "Summable", op, label: str) -> "Summable":
+    def _combine(self, other: "Summable", op, label: str,
+                 weight: Optional[Fraction] = None) -> "Summable":
         """Pointwise ``op``, which acts alike on approximants and on reals."""
         dom = intersect_pair(self.domain, other.domain)
 
@@ -161,15 +183,13 @@ class Summable:
             return op(a, b)
 
         name = f"({self.name}{label}{other.name})"
-        return Summable(AEFunction(dom, evaluator, name),
-                        lambda n: op(self.term(n + 2), other.term(n + 2)),
-                        name=name)
+        return _derived(AEFunction(dom, evaluator, name), op, [self, other], 2, weight)
 
     def __add__(self, other: "Summable") -> "Summable":
-        return self._combine(other, lambda a, b: a + b, "+")
+        return self._combine(other, lambda a, b: a + b, "+", ONE)
 
     def __sub__(self, other: "Summable") -> "Summable":
-        return self._combine(other, lambda a, b: a - b, "-")
+        return self._combine(other, lambda a, b: a - b, "-", ONE)
 
     def min_with(self, other: "Summable") -> "Summable":
         return self._combine(other, lambda a, b: a.min_with(b), "&")
@@ -195,13 +215,32 @@ class Summable:
 
     @staticmethod
     def from_polygonal(h: Polygonal, name: str = "") -> "Summable":
-        return Summable(AEFunction.from_polygonal(h, name), lambda n: h, name=name)
+        return Summable(AEFunction.from_polygonal(h, name), lambda n: h, name=name,
+                        tail=lambda n: ZERO)
 
     @staticmethod
     def constant(c, name: str = "") -> "Summable":
         c = Fraction(c)
         return Summable.from_polygonal(Polygonal.constant(c),
                                        name=name or f"const({c})")
+
+
+def _derived(base: AEFunction, op, operands: list, offset: int,
+             weight: Optional[Fraction] = None) -> Summable:
+    """``op`` of the operands' terms ``n + offset``.
+
+    Given ``weight``, ``op`` is ``weight``-Lipschitz in L1 in each operand,
+    and once every operand declares a tail the result declares ``weight``
+    times the sum of theirs at ``n + offset``.  The lattice operations pass
+    none and declare no tail yet.
+    """
+    tail = None
+    if weight is not None and all(g.tail is not None for g in operands):
+        def tail(n: int) -> Fraction:
+            return weight * sum(g.tail(n + offset) for g in operands)
+
+    return Summable(base, lambda n: op(*(g.term(n + offset) for g in operands)),
+                    name=base.name, tail=tail)
 
 
 def integral_uniqueness_check(f1: Summable, f2: Summable, p: int) -> bool:

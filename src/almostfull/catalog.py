@@ -65,7 +65,8 @@ def poly_entry(name: str, h: Polygonal, description: str) -> CatalogEntry:
 
 
 def _square_summable(name: str = "square") -> Summable:
-    """Interpolants of x**2 on 2**n uniform pieces; gaps are exactly 4**-n/8."""
+    """Interpolants of x**2 on 2**n uniform pieces, above x**2 and falling with
+    n: the tail ``integral I_n - 1/3 = 4**-n/6`` is exact, each gap its drop."""
 
     def term(n: int) -> Polygonal:
         nodes = range((1 << n) + 1)
@@ -79,7 +80,7 @@ def _square_summable(name: str = "square") -> Summable:
         return CReal(fn)
 
     base = AEFunction(RegularSeq.zero(), evaluator, name=name)
-    return Summable(base, term, name=name)
+    return Summable(base, term, name=name, tail=lambda n: Fraction(1, 6 << 2 * n))
 
 
 def square_offset_summable() -> Summable:
@@ -89,7 +90,8 @@ def square_offset_summable() -> Summable:
     feeds the integral uniqueness check.
     """
     uniform = _square_summable("square-alt")
-    return Summable(uniform.base, lambda n: uniform.term(n + 1), name="square-alt")
+    return Summable(uniform.base, lambda n: uniform.term(n + 1), name="square-alt",
+                    tail=lambda n: Fraction(1, 6 << 2 * n + 2))
 
 
 def _step_summable(name: str = "ae-step") -> Summable:

@@ -78,7 +78,9 @@ def cmd_integrate(args) -> int:
             raise CertificationError(
                 f"entry {entry.name} has no summable representation")
         value = entry.summable.integral(p)
-        report.prefix_depths["approximation_index"] = p + 2
+        n, tail = entry.summable.integral_index(p)
+        report.prefix_depths["approximation_index"] = n
+        report.error_bounds["approximation_tail"] = to_ratstr(tail)
     else:
         if entry.certificate is None:
             raise CertificationError(

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from .aefunc import Summable, integral_uniqueness_check
 from .bridge import NetIndex
-from .catalog import get_bridge, get_entry, square_offset_summable, tents_at_center_seq
+from .catalog import (CATALOG_NAMES, get_bridge, get_entry, square_offset_summable,
+                      tents_at_center_seq)
 from .errors import AlmostFullError, CertificationError
 from .exact import clamp01, pow2, to_ratstr
 from .polygonal import Polygonal
@@ -258,11 +259,25 @@ def suite_bridge(seed: int, corrupt: bool = False) -> list:
     return checks
 
 
+def suite_routes(seed: int) -> list:
+    """Lebesgue route against net route at a seeded p, on each entry with both."""
+    p = random.Random(seed).randint(3, 7)
+    checks = []
+    for e in map(get_entry, CATALOG_NAMES):
+        if e.summable is not None and e.certificate is not None:
+            net = get_bridge(e.name).to_lebesgue(e.certificate)
+            values = f"{to_ratstr(e.summable.integral(p))} {to_ratstr(net.integral(p))}"
+            checks.append(CheckResult(f"routes-{e.name}", integral_uniqueness_check(
+                e.summable, net, p), f"p={p}: lebesgue, net = {values}"))
+    return checks
+
+
 SUITES = {
     "regularity": suite_regularity,
     "witnesses": suite_witnesses,
     "integrals": suite_integrals,
     "bridge": suite_bridge,
+    "routes": suite_routes,
 }
 
 

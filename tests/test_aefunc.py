@@ -50,7 +50,10 @@ class TestLebesgueIntegral:
         sq = get_entry("square").summable
         report = sq.integral_report(8)
         assert set(report) == {"function", "p", "value", "prefix_used", "tail_bound"}
-        assert report["prefix_used"] == 10
+        # The least n with 4**-n/6 <= 2**-9; the term there is 1/3 + 4**-4/6.
+        assert report["prefix_used"] == 4
+        assert report["tail_bound"] == "1/1536"
+        assert report["value"] == "171/512"
         assert "/" in report["value"] and "/" in report["tail_bound"]
 
     def test_decay_chain_exact(self):

@@ -1,6 +1,7 @@
 """Command-line harness: formats, exit codes, determinism."""
 
 import argparse
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ class TestIntegrate:
         report = json.loads(out)
         assert report["results"]["value"] == "1/2"
         assert report["error_bounds"]["value"] == "1/1024"
-        assert report["prefix_depths"]["approximation_index"] == 12
+        assert report["prefix_depths"]["approximation_index"] == 0
 
     def test_square_precision_16(self, capsys):
         code, out, _ = run(capsys, "integrate", "--function", "square",
@@ -127,6 +128,34 @@ class TestVerify:
             code, out, _ = run(capsys, "verify", "--suite", suite, "--seed", "7")
             assert code == 0, suite
             assert json.loads(out)["results"]["ok"] is True
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_routes_agree(self, capsys, seed):
+        code, out, _ = run(capsys, "verify", "--suite", "routes", "--seed", str(seed))
+        assert code == 0
+        checks = json.loads(out)["results"]["checks"]
+        assert [c["name"] for c in checks] == [
+            f"routes-{name}" for name in ("identity", "constant", "tent",
+                                          "three-piece", "square", "ae-step")]
+        assert all(c["ok"] for c in checks)
+
+    def test_routes_catch_a_shifted_lebesgue_value(self, capsys, monkeypatch):
+        from almostfull import Summable, verify
+        from almostfull.catalog import get_entry
+
+        def shifted(name):
+            entry = get_entry(name)
+            if name != "square":
+                return entry
+            # A quarter off: far outside the 2**-(p-2) the routes must agree to.
+            return dataclasses.replace(
+                entry, summable=entry.summable + Summable.constant(F(1, 4)))
+
+        monkeypatch.setattr(verify, "get_entry", shifted)
+        code, out, _ = run(capsys, "verify", "--suite", "routes", "--seed", "3")
+        assert code == 1
+        failed = [c["name"] for c in json.loads(out)["results"]["checks"] if not c["ok"]]
+        assert failed == ["routes-square"]
 
     def test_unknown_suite_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "nope", "--seed", "1")
