@@ -3,16 +3,18 @@
 An ``AEFunction`` pairs a regular sequence (whose almost-full set is the
 function's domain) with an evaluator from domain witnesses to certified
 reals.  A ``Summable`` adds an approximating sequence of polygonals whose
-successive L1 distances decay below ``2**-n``, and optionally a certified
-tail; its integral is read from the coarsest term the tail allows and is
-reported with that bound.  All decay conditions are checked exactly in
-rational arithmetic when terms materialize.
+successive L1 distances decay below ``2**-n``; that decay chain certifies
+the tail ``2**-(n-1)``, which a declared tail may sharpen.  Its integral is
+read from the coarsest term the tail allows and is reported with that
+bound.  All decay conditions are checked exactly in rational arithmetic
+when terms materialize.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 from threading import RLock
 from typing import Callable, Optional, Sequence
@@ -63,11 +65,13 @@ class Summable:
     """An a.e.-defined function together with an L1-certified approximation.
 
     ``approx(n)`` yields polygonals with ``integral |f_{n+1} - f_n| < 2**-n``,
-    converging to the function on the almost-full set of its domain.  A
-    declared ``tail(n)`` is an exact rational bound on ``integral |f - f_n|``
-    that telescopes, each gap at most ``tail(n) - tail(n+1)``; ``integral``
-    reads the coarsest term it allows.  Both bounds are verified exactly
-    whenever neighbouring terms materialize.
+    converging to the function on the almost-full set of its domain.  The
+    chain certifies ``integral |f - f_n| <= 2**-(n-1)``; a declared
+    ``tail(n)`` is an exact rational bound that telescopes, each gap at most
+    ``tail(n) - tail(n+1)``.  ``self.tail`` is the lesser of the two, which
+    telescopes as both do, and ``integral`` reads the coarsest term it
+    allows.  The chain and the tail are verified exactly whenever
+    neighbouring terms materialize.
     ``prefetch(summable, n)``, if given, runs under the term lock first.
     """
 
@@ -78,12 +82,13 @@ class Summable:
         self.base = base
         self.name = name or base.name
         terms = self._terms = Memo(approx)
-        tails = self.tail = None if tail is None else Memo(lambda n: Fraction(tail(n)))
+        declared = tail or _chain_tail
+        tails = self.tail = Memo(lambda n: min(Fraction(declared(n)), _chain_tail(n)))
         where = f" in {self.name}" if self.name else ""
 
         def certify_gap(lo: int) -> None:
             bound = pow2(-lo)
-            drop = bound if tails is None else tails(lo) - tails(lo + 1)
+            drop = tails(lo) - tails(lo + 1)
             gap = l1_upper(terms(lo + 1), terms(lo))
             if gap is None or not (gap < bound and gap <= drop):
                 gap = l1_distance(terms(lo + 1), terms(lo))
@@ -91,15 +96,15 @@ class Summable:
                 raise CertificationError(
                     f"approximation gap {gap} at index {lo} is not below 2^-{lo}{where}",
                     index=lo)
-            if tails is not None and gap > drop:
+            if gap > drop:
                 raise CertificationError(f"approximation gap {gap} at index {lo} exceeds "
                                          f"the declared tail's drop {drop}{where}", index=lo)
-            if tails is not None and tails(lo + 1) < 0:
+            if tails(lo + 1) < 0:
                 raise CertificationError(f"declared tail {tails(lo + 1)} at index "
                                          f"{lo + 1} is negative{where}", index=lo)
 
         # Index lo is stored once |f_{lo+1} - f_lo| is certified below 2**-lo
-        # (and within the declared tail's drop).
+        # and within the tail's drop.
         self._gaps = Memo(certify_gap)
         self._lock = RLock()
         self._prefetch = prefetch
@@ -135,17 +140,11 @@ class Summable:
 
     def integral_index(self, p: int) -> tuple:
         """The index n that ``integral(p)`` reads and its bound on ``integral |f - f_n|``:
-        the least n with tail within ``2**-(p+1)``, else p + 2 by the decay chain."""
+        the least n with tail within ``2**-(p+1)``, at most p + 2 by the decay chain."""
         if p < 0:
             raise ValueError("precision exponent must be >= 0")
         bound = pow2(-(p + 1))
-        if self.tail is None:
-            return p + 2, bound
-        cap = budget_cap(4096)
-        n = next((n for n in range(cap + 1) if self.tail(n) <= bound), None)
-        if n is None:
-            raise BudgetExhausted(f"tail of {self.name} stays above {bound} up to "
-                                  f"index {cap}", needed=cap + 1)
+        n = next(n for n in range(p + 3) if self.tail(n) <= bound)
         return n, self.tail(n)
 
     def integral(self, p: int) -> Fraction:
@@ -155,7 +154,7 @@ class Summable:
 
     def integral_report(self, p: int) -> dict:
         n, bound = self.integral_index(p)
-        return {"function": self.name, "p": p, "value": to_ratstr(self.integral(p)),
+        return {"function": self.name, "p": p, "value": to_ratstr(self.term(n).integral()),
                 "prefix_used": n, "tail_bound": to_ratstr(bound)}
 
     # -- pointwise algebra ------------------------------------------------------
@@ -200,7 +199,7 @@ class Summable:
     def abs(self) -> "Summable":
         base = AEFunction(self.domain, lambda w: abs(self.base.evaluator(w)),
                           name=f"|{self.name}|")
-        return Summable(base, lambda n: abs(self.term(n)), name=base.name)
+        return _derived(base, abs, [self], 0)
 
     def clip_nonneg(self) -> "Summable":
         """Pointwise maximum with 0; a contraction, so decay bounds survive."""
@@ -208,8 +207,7 @@ class Summable:
         base = AEFunction(self.domain,
                           lambda w: self.base.evaluator(w).max_with(zero_real),
                           name=f"{self.name}+")
-        return Summable(base, lambda n: self.term(n).max_with(_ZERO_POLY),
-                        name=base.name)
+        return _derived(base, lambda t: t.max_with(_ZERO_POLY), [self], 0)
 
     # -- constructors ------------------------------------------------------------
 
@@ -225,17 +223,22 @@ class Summable:
                                        name=name or f"const({c})")
 
 
+def _chain_tail(n: int) -> Fraction:
+    """The tail every decay chain certifies: the gaps from n on sum below 2**-(n-1)."""
+    return pow2(1 - n)
+
+
 def _derived(base: AEFunction, op, operands: list, offset: int,
              weight: Optional[Fraction] = None) -> Summable:
     """``op`` of the operands' terms ``n + offset``.
 
     Given ``weight``, ``op`` is ``weight``-Lipschitz in L1 in each operand,
-    and once every operand declares a tail the result declares ``weight``
-    times the sum of theirs at ``n + offset``.  The lattice operations pass
-    none and declare no tail yet.
+    and the result declares ``weight`` times the sum of the operands' tails
+    at ``n + offset``.  The lattice operations pass none, so their results
+    carry the chain tail ``2**-(n-1)``.
     """
     tail = None
-    if weight is not None and all(g.tail is not None for g in operands):
+    if weight is not None:
         def tail(n: int) -> Fraction:
             return weight * sum(g.tail(n + offset) for g in operands)
 
@@ -531,24 +534,17 @@ def summable_min(fs: Sequence[Summable], name: str = "") -> Summable:
         raise ValueError("need at least one function")
     if len(fs) == 1:
         return fs[0]
-    shift = ceil_log2(len(fs)) + 1
     dom = intersect_countable([g.domain for g in fs], name=f"dom[{name}]")
 
-    def approx(n: int) -> Polygonal:
-        out = fs[0].term(n + shift)
-        for g in fs[1:]:
-            out = out.min_with(g.term(n + shift))
-        return out
+    def op(*xs):
+        """Left-folded minimum; acts alike on approximants and on reals."""
+        return reduce(lambda a, b: a.min_with(b), xs)
 
     def evaluator(w: DomainWitness) -> CReal:
-        vals = [g.base.evaluator(row_witness(w, i)) for i, g in enumerate(fs)]
-        out = vals[0]
-        for v in vals[1:]:
-            out = out.min_with(v)
-        return out
+        return op(*(g.base.evaluator(row_witness(w, i)) for i, g in enumerate(fs)))
 
     base = AEFunction(dom, evaluator, name=name or "min")
-    return Summable(base, approx, name=base.name)
+    return _derived(base, op, fs, ceil_log2(len(fs)) + 1)
 
 
 def countable_set_intersection(sets: Callable[[int], MeasurableSet] | Sequence[MeasurableSet],

@@ -77,18 +77,19 @@ def cmd_integrate(args) -> int:
         if entry.summable is None:
             raise CertificationError(
                 f"entry {entry.name} has no summable representation")
-        value = entry.summable.integral(p)
-        n, tail = entry.summable.integral_index(p)
-        report.prefix_depths["approximation_index"] = n
-        report.error_bounds["approximation_tail"] = to_ratstr(tail)
+        g = entry.summable
     else:
         if entry.certificate is None:
             raise CertificationError(
                 f"entry {entry.name} carries no certificate for the net route")
         g = bridge_for(entry.function).to_lebesgue(entry.certificate)
-        value = g.integral(p)
-        report.prefix_depths["approximation_index"] = p + 2
-        report.prefix_depths["net_sequence_index"] = p + 4
+    n, tail = g.integral_index(p)
+    value = g.term(n).integral()
+    report.prefix_depths["approximation_index"] = n
+    if args.method == "lebesgue":
+        report.error_bounds["approximation_tail"] = to_ratstr(tail)
+    else:
+        report.prefix_depths["net_sequence_index"] = n + 2
     report.results["value"] = to_ratstr(value)
     report.error_bounds["value"] = to_ratstr(pow2(-p))
     if entry.expected is not None:
@@ -135,7 +136,7 @@ def cmd_net_table(args) -> int:
             results={"rows": [{"m": r[0], "integral": r[1], "l1_step": r[2]}
                               for r in rows]},
             error_bounds={"integral": to_ratstr(pow2(-p))},
-            prefix_depths={"approximation_index": p + 2},
+            prefix_depths={"approximation_index": prev.integral_index(p)[0]},
         )
         sys.stdout.write(report.to_json())
     return EXIT_OK

@@ -1,6 +1,6 @@
-"""Certified tails: declared leaf tails, tails composed by linear Summable
-algebra, the term indices integrals read from them, and the fixed indices
-every derived term keeps."""
+"""Certified tails: the decay chain's tail every Summable carries, declared
+leaf tails, tails composed by linear Summable algebra, the term indices
+integrals read from them, and the fixed indices every derived term keeps."""
 
 import json
 from fractions import Fraction
@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from almostfull import (BudgetExhausted, CertificationError, Polygonal, Summable,
+from almostfull import (AEFunction, CertificationError, Polygonal, Summable,
                         ceil_log2, pow2, summable_min)
 from almostfull import catalog, cli
 from almostfull.catalog import _square_summable, square_offset_summable
@@ -99,11 +99,7 @@ class TestDerivedTails:
         assume(deepest(e, p + 8) <= 15)
         f = build(e)
         n, tail = f.integral_index(p)
-        assert tail <= pow2(-(p + 1))
-        if f.tail is None:
-            assert n == p + 2
-        else:
-            assert tail == f.tail(n)
+        assert tail <= pow2(-(p + 1)) and n <= p + 2 and tail == f.tail(n)
         # Term p + 8 under fixed offsets is within 2**-(p+7) of the function.
         reference = parent_term(e, p + 8).integral()
         assert abs(f.integral(p) - reference) <= pow2(-p) + pow2(-(p + 6))
@@ -114,11 +110,16 @@ class TestDerivedTails:
         for sub in parts(e):
             f = build(sub)
             f.check_prefix(5)   # every gap below 2**-n and within the tail's drop
-            if f.tail is None:  # a lattice operation on the way down
-                continue
             for n in range(4):
                 m = n + 8
                 assert l1_distance(f.term(n), f.term(m)) - f.tail(m) <= f.tail(n)
+
+    @given(expressions)
+    @settings(max_examples=50, deadline=None)
+    def test_tail_within_the_chain_tail(self, e):
+        for sub in parts(e):
+            f = build(sub)
+            assert all(f.tail(n) <= pow2(1 - n) for n in range(12))
 
     def test_composed_tail_telescopes_within_budget(self):
         sq = _square_summable()
@@ -126,11 +127,14 @@ class TestDerivedTails:
         f.check_prefix(8)
         assert all(f.tail(n) <= pow2(-(n + 2)) for n in range(9))
 
-    def test_lattice_operations_declare_no_tail(self):
+    def test_lattice_results_carry_the_chain_tail(self):
         sq, tent = _square_summable(), LEAVES["tent"]
         for f in (sq.min_with(tent), sq.max_with(tent), sq.abs(), sq.clip_nonneg(),
-                  summable_min([sq, tent]), sq.abs() + tent):
-            assert f.tail is None
+                  summable_min([sq, tent])):
+            assert [f.tail(n) for n in range(8)] == [pow2(1 - n) for n in range(8)]
+        # A sum reads its operands two terms deeper.
+        f = sq.abs() + tent
+        assert [f.tail(n) for n in range(8)] == [pow2(-1 - n) for n in range(8)]
 
 
 class TestDeclaredTail:
@@ -161,11 +165,16 @@ class TestDeclaredTail:
         assert err.value.index == 2
         assert "declared tail -71/9600 at index 3 is negative in shifted" in str(err.value)
 
-    def test_search_is_capped(self, monkeypatch):
+    def test_loose_tail_yields_to_the_chain(self):
+        h = Polygonal.tent(HALF)
+        loose = Summable(AEFunction.from_polygonal(h), lambda n: h, name="loose",
+                         tail=lambda n: 1)
+        assert loose.integral_index(7) == (9, F(1, 256))
+
+    def test_index_search_ignores_the_budget(self, monkeypatch):
+        # The search ends by p + 2, wherever the budget is set.
         monkeypatch.setenv("ALMOSTFULL_BUDGET", "5")
-        with pytest.raises(BudgetExhausted) as err:
-            _square_summable().integral(20)
-        assert err.value.needed == 6
+        assert _square_summable().integral_index(20) == (10, F(1, 6291456))
 
 
 def recorder(tail=None):
@@ -181,17 +190,19 @@ def recorder(tail=None):
 
 class TestFixedOffsets:
     # (expression over an undeclared and a declared recorder, p, the indices
-    # fixed offsets read from each: p + 2, plus 2 per binary operation,
-    # ceil_log2|c| per scale and ceil_log2(k) + 1 per k-fold minimum).
+    # integral(p) reads from each: the least n whose tail is within
+    # 2**-(p+1), plus 2 per binary operation, ceil_log2|c| per scale and
+    # ceil_log2(k) + 1 per k-fold minimum).  The lattice operations carry
+    # the chain tail, so an integral of one reads n = p + 2.
     CASES = [
         (lambda u, d: u, 5, [7], []),
-        (lambda u, d: u + d, 5, [9], [9]),
-        (lambda u, d: d - u.scale(3), 4, [10], [8]),
-        (lambda u, d: u.scale(F(1, 3)) + LEAVES["tent"], 4, [8], []),
+        (lambda u, d: u + d, 5, [8], [8]),
+        (lambda u, d: d - u.scale(3), 4, [8], [6]),
+        (lambda u, d: u.scale(F(1, 3)) + LEAVES["tent"], 4, [5], []),
         (lambda u, d: (u.abs() - d).clip_nonneg(), 2, [6], [6]),
         (lambda u, d: summable_min([LEAVES["tent"], u, d]), 3, [8], [8]),
         (lambda u, d: (u + u).min_with(d), 1, [7], [5]),
-        (lambda u, d: u.scale(0) + d.max_with(u), 1, [7], [7]),
+        (lambda u, d: u.scale(0) + d.max_with(u), 1, [5], [5]),
     ]
 
     @pytest.mark.parametrize("expr, p, undeclared, declared", CASES)
@@ -199,10 +210,12 @@ class TestFixedOffsets:
         u, asked_u = recorder()
         d, asked_d = recorder(tail=lambda n: F(1, 6 * 4 ** n))
         f = expr(u, d)
-        assert f.tail is None
         f.integral(p)
         assert (asked_u, asked_d) == (undeclared, declared)
-        assert f.integral_index(p) == (p + 2, pow2(-(p + 1)))
+        n, tail = f.integral_index(p)
+        bound = pow2(-(p + 1))
+        assert n <= p + 2 and tail == f.tail(n) <= bound
+        assert n == 0 or f.tail(n - 1) > bound   # the least such n
 
     def test_declared_terms_keep_offsets(self):
         d, asked = recorder(tail=lambda n: F(1, 6 * 4 ** n))
