@@ -539,11 +539,12 @@ def _gamma_depth(m: int, n: int) -> int:
 
 
 def _built_on_first_use(build: Callable[[], RegularSeq], name: str) -> RegularSeq:
-    """The sequence ``build()``, which runs once, when a term or profile is
-    first asked for."""
+    """The sequence ``build()``, which runs once, when a term, profile or
+    support is first asked for."""
     built = Memo(lambda _: build())
     return RegularSeq(lambda n: built(None).term(n), name=name,
-                      profile=lambda x: built(None).profile_at(x))
+                      profile=lambda x: built(None).profile_at(x),
+                      support=lambda k: built(None).support(k))
 
 
 _BRIDGE_LOCK = RLock()

@@ -47,11 +47,17 @@ class RegularSeq:
     must be pure, so concurrent readers always observe identical terms.
     ``avoids``, when known, is the finite set of points where ``profile_at``
     is None; everywhere else the profile has a known ``vanish_from``.
+    ``support(k)``, when given, covers every point where term k is nonzero
+    by open intervals, without calling ``gen``, or is None when unknown: parts
+    ``(nums, den, w)``, each the intervals ``(c/den - w, c/den + w)`` for c in
+    the sorted integers ``nums``.  :meth:`vanishes_on` answers from it, so a
+    term it shows dead is never built, nor regularity-checked.
     """
 
     def __init__(self, gen: Callable[[int], Polygonal], name: str = "",
                  profile: Optional[Callable[[Fraction], Optional[TailProfile]]] = None,
-                 avoids: Optional[Sequence[Fraction]] = None):
+                 avoids: Optional[Sequence[Fraction]] = None, *,
+                 support: Optional[Callable[[int], Optional[list]]] = None):
         label = name or "sequence"
 
         def checked(n: int) -> Polygonal:
@@ -66,6 +72,7 @@ class RegularSeq:
             return h
 
         self._terms = Memo(checked)
+        self._support = None if support is None else Memo(support)
         self._profile = profile
         self.name = name
         self.avoids = avoids
@@ -74,6 +81,24 @@ class RegularSeq:
         if n < 0:
             raise ValueError("term index must be >= 0")
         return self._terms(n)
+
+    def support(self, k: int) -> Optional[list]:
+        """The parts ``(nums, den, w)`` covering term k's nonzero set, or None."""
+        return None if self._support is None else self._support(k)
+
+    def vanishes_on(self, n: int, lo: Fraction, hi: Fraction) -> bool:
+        """Whether term n is 0 on ``[lo, hi]``, ``lo < hi``; from its support if known."""
+        parts = self.support(n)
+        if parts is None:
+            return self.term(n).vanishes_on(lo, hi)
+        a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        for nums, den, w in parts:
+            # The first center above lo - w is the only one that can lie below hi + w.
+            p, q = w.numerator, w.denominator
+            i = bisect_right(nums, den * (a * q - p * b) // (b * q))
+            if i < len(nums) and (nums[i] * q - p * den) * d < c * den * q:
+                return False
+        return True
 
     def prefix(self, n: int) -> list:
         return [self.term(k) for k in range(n + 1)]
@@ -109,27 +134,24 @@ class RegularSeq:
         """The sequence ``n -> h_{n+s}``; regularity is inherited."""
         if s < 0:
             raise ValueError("shift must be >= 0")
-        base_profile = self._profile
 
         def profile(x):
-            if base_profile is None:
-                return None
-            p = base_profile(x)
-            if p is None:
-                return None
-            vanish = None if p.vanish_from is None else max(0, p.vanish_from - s)
-            return TailProfile(total=p.total, vanish_from=vanish)
+            p = self.profile_at(x)
+            if p is None or p.vanish_from is None:
+                return p
+            return TailProfile(total=p.total, vanish_from=max(0, p.vanish_from - s))
 
         return RegularSeq(lambda n: self.term(n + s),
                           name=f"{self.name}>>{s}" if self.name else "",
-                          profile=profile)
+                          profile=profile, avoids=self.avoids,
+                          support=lambda k: self.support(k + s))
 
     @staticmethod
     def zero() -> "RegularSeq":
         z = Polygonal.constant(0)
         return RegularSeq(lambda n: z, name="zero",
                           profile=lambda x: TailProfile(total=ZERO, vanish_from=0),
-                          avoids=())
+                          avoids=(), support=lambda k: ())
 
     @staticmethod
     def from_terms(terms: Sequence[Polygonal], name: str = "") -> "RegularSeq":
@@ -141,8 +163,15 @@ class RegularSeq:
             vals = [t.eval(x) for t in terms]
             return TailProfile(total=sum(vals, ZERO), vanish_from=len(terms))
 
+        def support(n):
+            # A nonzero node is nonzero up to (not at) its neighbours.
+            h = terms[n] if n < len(terms) else z
+            xs = (-ONE, *h.xs, 2 * ONE)
+            spans = [(xs[i] + xs[i + 2], xs[i + 2] - xs[i]) for i, v in enumerate(h.vs) if v]
+            return [((m.numerator,), 2 * m.denominator, w / 2) for m, w in spans]
+
         return RegularSeq(lambda n: terms[n] if n < len(terms) else z,
-                          name=name, profile=profile)
+                          name=name, profile=profile, support=support)
 
 
 def serialize_prefix(seq: RegularSeq, n: int) -> str:
@@ -214,7 +243,8 @@ def point_avoiding_seq(points: Sequence, name: str = "") -> RegularSeq:
             vanish = max(vanish, n)
         return TailProfile(total=Fraction(total, big), vanish_from=vanish)
 
-    return RegularSeq(gen, name=name or "avoid", profile=profile, avoids=tuple(pts))
+    return RegularSeq(gen, name=name or "avoid", profile=profile, avoids=tuple(pts),
+                      support=lambda k: ((nums, den, Fraction(1, scale << k)),))
 
 
 @dataclass(frozen=True)
@@ -279,8 +309,10 @@ class _Bisection:
     keeps a positive margin.  The walk keeps the indices of the terms that
     are not identically 0 on the last interval, and integrates only those: a
     term dead on I adds exactly 0 there and on both halves, so each step
-    filters the live list with an exact vanishing test, and a new prefix
-    term is tested once, against the interval it joins.
+    filters the live list with the exact test ``seq.vanishes_on``, and a new
+    prefix term is tested once, against the interval it joins.  Where the
+    sequence knows its term supports, that test builds nothing, so a term
+    dead on the interval it joins is never built.
     """
 
     CHUNK = 4
@@ -301,8 +333,8 @@ class _Bisection:
         self.chain = [(ZERO, ONE, k0, self._margin(ZERO, ONE, k0, self._live))]
 
     def _alive(self, indices, lo, hi) -> list:
-        term = self.seq.term
-        return [n for n in indices if not term(n).vanishes_on(lo, hi)]
+        vanishes = self.seq.vanishes_on
+        return [n for n in indices if not vanishes(n, lo, hi)]
 
     def _weighted(self, lo, hi, live) -> Fraction:
         term, pw = self.seq.term, self._pow
@@ -419,10 +451,12 @@ def intersect_countable(rows: Callable[[int], RegularSeq] | Sequence[RegularSeq]
 
     row = Memo(row_fn)
 
+    def rows_of(k: int) -> range:
+        return range((k if zero_from is None else min(k, zero_from - 1)) + 1)
+
     def gen(k: int) -> Polygonal:
-        top = k if zero_from is None else min(k, zero_from - 1)
         pairs = []
-        for n in range(top + 1):
+        for n in rows_of(k):
             try:
                 pairs.append((pow2(-(2 * n + 1)), row(n).term(k - n)))
             except RegularityError as exc:
@@ -449,7 +483,19 @@ def intersect_countable(rows: Callable[[int], RegularSeq] | Sequence[RegularSeq]
                     vanish = None if p.vanish_from is None else max(vanish, n + p.vanish_from)
             return TailProfile(total=total, vanish_from=vanish)
 
-    return RegularSeq(gen, name=name or "intersection", profile=profile, avoids=avoids)
+    # Every c * h has c > 0 and h >= 0: term k is 0 where every row term is.
+    return RegularSeq(gen, name=name or "intersection", profile=profile, avoids=avoids,
+                      support=lambda k: _union(row(n).support(k - n) for n in rows_of(k)))
+
+
+def _union(supports) -> Optional[list]:
+    """The parts of each support in turn, or None at the first unknown one."""
+    parts = []
+    for got in supports:
+        if got is None:
+            return None
+        parts += got
+    return parts
 
 
 def row_witness(w: DomainWitness, n: int) -> DomainWitness:
@@ -492,7 +538,8 @@ def geometric_decay(seq: RegularSeq, name: str = ""):
     def transport(w: DomainWitness, n: int) -> Fraction:
         return decay_bound(w.gamma, n)
 
-    return RegularSeq(gen, name=name or "decay", profile=profile), transport
+    return RegularSeq(gen, name=name or "decay", profile=profile,
+                      support=lambda n: _union(map(seq.support, (2 * n, 2 * n + 1)))), transport
 
 
 def decay_bound(gamma, n: int) -> Fraction:
