@@ -388,8 +388,12 @@ def char_of_interval_union(union: IntervalUnion,
             "membership decision exceeded the budget; witness may be invalid")
 
     base = AEFunction(dom, evaluator, name=f"chi[{name}]", values_at=values_at)
+    # Term k falls short only on two ramps per component, each (b - a) * 2**-(k+2)
+    # wide: its L1 distance from the indicator is length * 2**-(k+2), and each
+    # gap is that tail's drop.
+    length = union.length
     characteristic = Summable(base, lambda k: union_indicator(union, k),
-                              name=base.name)
+                              name=base.name, tail=lambda k: length * pow2(-(k + 2)))
     return MeasurableSet(characteristic=characteristic, support=union, name=name)
 
 

@@ -28,8 +28,8 @@ from .aefunc import (AEFunction, MeasurableSet, Summable, certify_l1_gap,
 from .errors import BudgetExhausted, CertificationError
 from .exact import (CReal, Memo, clamp01, pow2, rat_approx,
                     refine_until_decided, to_ratstr)
-from .polygonal import (IntervalUnion, Plateaus, Polygonal, l1_distance,
-                        l1_upper, step_function, sublevel)
+from .polygonal import (IntervalUnion, Plateaus, Polygonal, StepPolygonal,
+                        l1_distance, l1_upper, step_function, sublevel)
 from .regular import (DomainWitness, RegularSeq, intersect_pair,
                       point_avoiding_seq, realize_point, row_witness)
 
@@ -38,6 +38,7 @@ ONE = Fraction(1)
 TWO_THIRDS = Fraction(2, 3)
 THREE_QUARTERS = Fraction(3, 4)
 THIRD = Fraction(1, 3)
+RAMP_REDRAWS = 8
 
 
 @dataclass(frozen=True)
@@ -148,12 +149,16 @@ class Bridge:
 
         def gamma_union(key):
             # Under the table's lock, a prefix extends the longest one stored.
+            # Where term k is 0 on every component, each lies inside delta_k.
             n, prefix = key
             if prefix < n:
                 raise ValueError("prefix must be at least the start index")
             chain = chains.setdefault(n, [deltas(n)])
             while len(chain) <= prefix - n:
-                chain.append(chain[-1].intersect(deltas(n + len(chain))))
+                k, last = n + len(chain), chain[-1]
+                if not all(own.domain.vanishes_on(k, a, b) for a, b in last.ivs):
+                    last = last.intersect(deltas(k))
+                chain.append(last)
             return chain[prefix - n]
 
         gammas = self._gamma_unions = Memo(gamma_union)
@@ -190,6 +195,10 @@ class Bridge:
         return _gamma_depth(m, n)
 
     def gamma_union(self, n: int, prefix: int) -> IntervalUnion:
+        """The intersection of the sublevel sets n..prefix, as a chain of
+        pairwise intersections.  A step whose domain term is 0 on every
+        component so far cannot cut, so it keeps the chain and builds nothing
+        (see ``RegularSeq.vanishes_on``)."""
         return self._gamma_unions((n, prefix))
 
     def gamma(self, n: int) -> GammaInfo:
@@ -312,9 +321,11 @@ class Bridge:
         certified L1 steps, below level ``max(n, 4) + 16``, realizes fresh
         witness points in cells that pass ``theta`` (offset away from every
         sample point used by the nets), and compares f against g's
-        approximant at grid q+2.  The equality region itself is never
-        constructed; the report carries the pass fraction and the ladder
-        data.
+        approximant at grid q+2.  When that approximant is a step profile,
+        a point on one of its ramps, where it is below the plateau the limit
+        takes, is drawn again, at most ``RAMP_REDRAWS`` times.  The equality
+        region itself is never constructed; the report carries the pass
+        fraction and the ladder data.
         """
         rungs = 8
         level_cap = max(n, 4) + 16
@@ -358,7 +369,10 @@ class Bridge:
         rows = []
         passes = 0
         for l in sorted(chosen):
-            t = Fraction(3 * rng.randrange(32) + 1, 96)
+            for _ in range(1 + RAMP_REDRAWS):
+                t = Fraction(3 * rng.randrange(32) + 1, 96)
+                if not _off_plateau(g_grid, _point(self._plans, l, m_s, n, t)):
+                    break
             wit, xi = _sample_in(self._plans, self._gamma_unions, self.f.domain,
                                  l, m_s, n, t, "sample")
             f_val = self.f.eval(wit).approx(q + 2)
@@ -401,7 +415,9 @@ def _piece(plans: Memo, k: int, m: int, n: int):
 def _level_plan(gammas: Memo, m: int, n: int):
     """The cells passing ``theta`` at level m, from one sweep of the realized
     set: sorted runs ``(start, stop, piece)`` of cells inside a component
-    (piece None), or one partly covered cell with its largest piece."""
+    (piece None), or one partly covered cell with its largest piece.  The
+    realized set's chain skips every sublevel set whose term is 0 on it, so
+    a domain that knows its supports builds only the terms that can cut."""
     scale, runs, partial = 1 << m, [], {}
     for a, b in gammas((n, _gamma_depth(m, n))).ivs:
         # Cells first..last meet (a, b); cells full..stop-1 lie inside it.
@@ -419,6 +435,14 @@ def _level_plan(gammas: Memo, m: int, n: int):
             runs.append((k, k + 1, part.largest_component()))
     runs.sort()
     return [r[0] for r in runs], runs
+
+
+def _off_plateau(grid: Polygonal, x: Fraction) -> bool:
+    """Whether a step profile at x, 0 <= x < 1, differs from the plateau of
+    the cell holding x: x is on a ramp of a nonzero cell."""
+    if not isinstance(grid, StepPolygonal):
+        return False
+    return grid.eval(x) != grid.coeffs[(x.numerator << grid.level) // x.denominator]
 
 
 def _point(plans: Memo, k: int, m: int, n: int, t: Fraction = THIRD) -> Fraction:

@@ -121,8 +121,9 @@ def _step_summable(name: str = "ae-step") -> Summable:
         w = ramp_width(n)
         return Polygonal((ZERO, HALF, HALF + w, ONE), (ZERO, ZERO, ONE, ONE))
 
+    # The ramp's triangle, half its width, is term n's L1 distance from the step.
     base = AEFunction(domain, evaluator, name=name)
-    return Summable(base, term, name=name)
+    return Summable(base, term, name=name, tail=lambda n: ramp_width(n) / 2)
 
 
 def _osc_function(scale_exp: int = 24, name: str = "osc") -> AEFunction:

@@ -16,10 +16,11 @@ import pytest
 import almostfull.bridge as bridge_module
 from almostfull import (AEFunction, Bridge, CertificationError, IntervalUnion,
                         NetIndex, Polygonal, RiemannCertificate, Summable,
-                        bridge_for, from_ratstr, intersect_pair,
-                        point_avoiding_seq, pow2, rat_approx,
-                        witness_precision)
+                        bridge_for, ceil_log2, char_of_interval_union,
+                        from_ratstr, intersect_pair, point_avoiding_seq, pow2,
+                        rat_approx, witness_precision)
 from almostfull.catalog import get_bridge, get_entry
+from almostfull.polygonal import StepPolygonal
 
 F = Fraction
 HALF = F(1, 2)
@@ -508,3 +509,23 @@ class TestEqualityCheck:
         bad = g + Summable.constant(F(1, 4))
         rep = bridge.equality_check(bad, n=3, samples=8, q=10, seed=7)
         assert rep["passes"] == 0
+
+    def test_no_point_on_a_ramp_of_the_limit(self):
+        # At a point inside a ramp of g's step profile that profile is below
+        # the plateau the limit takes there.  This union and seed put a
+        # sample point 2.6e-7 above a level-11 cell boundary, whose ramp is
+        # 2**-17 wide at q = 2; the point is drawn again, and every row passes.
+        union = IntervalUnion([(F(27, 64), F(52, 101)), (F(53, 101), F(20, 33)),
+                               (F(23, 32), F(13, 16))])
+        f = char_of_interval_union(union, name="u").characteristic.base
+        bridge = Bridge(f)
+        g = bridge.to_lebesgue(RiemannCertificate(
+            lambda eps: NetIndex.canonical(ceil_log2((6 + HALF) / eps))))
+        rep = bridge.equality_check(g, n=3, samples=8, q=2, seed=42321)
+        grid = g.term(4)
+        assert isinstance(grid, StepPolygonal)
+        for row in rep["sample_rows"]:
+            x = from_ratstr(row["point"])
+            cell = int(x * (1 << grid.level))
+            assert grid.eval(x) == grid.coeffs[cell]
+        assert rep["pass_fraction"] == "1/1"

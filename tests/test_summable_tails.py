@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from almostfull import (AEFunction, CertificationError, Polygonal, Summable,
-                        ceil_log2, pow2, summable_min)
+from almostfull import (AEFunction, CertificationError, IntervalUnion, Polygonal,
+                        Summable, ceil_log2, char_of_interval_union, pow2,
+                        summable_min)
 from almostfull import catalog, cli
 from almostfull.catalog import _square_summable, square_offset_summable
 from almostfull.exact import Memo
@@ -144,6 +145,29 @@ class TestDeclaredTail:
             for n in range(10):
                 assert l1_distance(sq.term(n + 1), sq.term(n)) == sq.tail(n) - sq.tail(n + 1)
                 assert sq.term(n).integral() - F(1, 3) == sq.tail(n)
+
+    @given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=40),
+                    min_size=2, max_size=6, unique=True))
+    @settings(max_examples=60, deadline=None)
+    def test_indicator_gaps_equal_the_drops(self, ends):
+        ends = sorted(ends)
+        union = IntervalUnion(list(zip(ends[::2], ends[1::2])))
+        chi = char_of_interval_union(union).characteristic
+        chi.check_prefix(8)
+        for n in range(8):
+            assert l1_distance(chi.term(n + 1), chi.term(n)) == chi.tail(n) - chi.tail(n + 1)
+            assert union.length - chi.term(n).integral() == chi.tail(n)
+
+    def test_step_gaps_equal_the_drops(self):
+        step = catalog.get_entry("ae-step").summable
+        step.check_prefix(10)
+        for n in range(10):
+            assert l1_distance(step.term(n + 1), step.term(n)) == step.tail(n) - step.tail(n + 1)
+            assert HALF - step.term(n).integral() == step.tail(n) == pow2(-(n + 3))
+
+    @pytest.mark.parametrize("name", ["ae-step", "char-upper-half"])
+    def test_leaf_reads_two_terms_below_the_chain(self, name):
+        assert catalog.get_entry(name).summable.integral_index(12) == (10, F(1, 8192))
 
     def test_tail_too_small_is_named(self):
         sq = _square_summable()
