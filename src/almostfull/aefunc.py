@@ -12,9 +12,11 @@ when terms materialize.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import repeat
 from math import lcm
 from threading import RLock
 from typing import Callable, Optional, Sequence
@@ -22,8 +24,7 @@ from typing import Callable, Optional, Sequence
 from .errors import BudgetExhausted, CertificationError
 from .exact import (CReal, Memo, budget_cap, ceil_log2, pow2,
                     refine_until_decided, to_ratstr)
-from .polygonal import (IntervalUnion, Polygonal, l1_distance, l1_upper,
-                        linear_sum, union_indicator)
+from .polygonal import IntervalUnion, Polygonal, l1_bound, linear_sum, union_indicator
 from .regular import (DomainWitness, RegularSeq, geometric_decay,
                       intersect_countable, intersect_pair, point_avoiding_seq,
                       realize_point, row_witness)
@@ -42,7 +43,7 @@ class AEFunction:
     sorted domain points ``nums[i] / den`` to the exact values there in one
     pass, as ``(out, d)`` with value i equal to ``out[i] / d`` (all
     integers), raising ValueError where it cannot decide; equality and hash
-    ignore it.
+    ignore it.  Polygonals and ``piecewise_constant`` functions carry it.
     """
 
     domain: RegularSeq
@@ -59,6 +60,46 @@ class AEFunction:
         return AEFunction(domain=RegularSeq.zero(),
                           evaluator=lambda w: h.eval_creal(w.x),
                           name=name, values_at=h.values_at)
+
+
+def piecewise_constant(breaks: Sequence[int], bd: int, values: Sequence[int], vd: int,
+                       domain: RegularSeq, name: str, start: int) -> AEFunction:
+    """The function ``values[i] / vd`` between ``breaks[i-1] / bd`` and ``breaks[i] / bd``.
+
+    ``breaks`` increase and ``values`` has one entry more, for the pieces
+    left of the first break and right of the last.  The function is
+    undefined at the breaks, which ``domain`` must avoid: there ``values_at``
+    and a rational witness raise ValueError.  Any other witness is located
+    from precision ``start`` on, until the approximation's closed interval,
+    clamped to [0, 1], lies in the closure of one piece, which holds the point.
+    """
+    def values_at(nums: Sequence[int], den: int) -> tuple:
+        out, lo, n = [], 0, len(nums)
+        while lo < n:
+            # Piece i holds nums[lo] / den and the next q / den with q * bd < breaks[i] * den.
+            p = nums[lo] * bd
+            i = bisect_left(breaks, p, key=lambda b: b * den)
+            if i < len(breaks) and breaks[i] * den == p:
+                raise ValueError(f"{name} is undefined at the break {Fraction(nums[lo], den)}")
+            hi = n if i == len(breaks) else bisect_left(nums, -(-breaks[i] * den // bd), lo)
+            out += repeat(values[i], hi - lo)
+            lo = hi
+        return out, vd
+
+    def decide(xt: Fraction, r: Fraction) -> Optional[Fraction]:
+        lo, hi = max(ZERO, xt - r) * bd, min(ONE, xt + r) * bd
+        i = bisect_left(breaks, hi)
+        return Fraction(values[i], vd) if i == 0 or breaks[i - 1] <= lo else None
+
+    def evaluator(w: DomainWitness) -> CReal:
+        x = w.x.rational
+        if x is not None:
+            return CReal.from_rational(
+                Fraction(values_at((x.numerator,), x.denominator)[0][0], vd))
+        return refine_until_decided(w.x, start, 2, decide,
+                                    f"locating a point of {name} exceeded the budget")
+
+    return AEFunction(domain, evaluator, name=name, values_at=values_at)
 
 
 class Summable:
@@ -89,9 +130,7 @@ class Summable:
         def certify_gap(lo: int) -> None:
             bound = pow2(-lo)
             drop = tails(lo) - tails(lo + 1)
-            gap = l1_upper(terms(lo + 1), terms(lo))
-            if gap is None or not (gap < bound and gap <= drop):
-                gap = l1_distance(terms(lo + 1), terms(lo))
+            gap = l1_bound(terms(lo + 1), terms(lo), lambda g: g < bound and g <= drop)
             if not gap < bound:
                 raise CertificationError(
                     f"approximation gap {gap} at index {lo} is not below 2^-{lo}{where}",
@@ -171,30 +210,17 @@ class Summable:
         return _derived(base, lambda t: t * c, [self], max(0, ceil_log2(abs(c))),
                         abs(c))
 
-    def _combine(self, other: "Summable", op, label: str,
-                 weight: Optional[Fraction] = None) -> "Summable":
-        """Pointwise ``op``, which acts alike on approximants and on reals."""
-        dom = intersect_pair(self.domain, other.domain)
-
-        def evaluator(w: DomainWitness) -> CReal:
-            a = self.base.evaluator(row_witness(w, 0))
-            b = other.base.evaluator(row_witness(w, 1))
-            return op(a, b)
-
-        name = f"({self.name}{label}{other.name})"
-        return _derived(AEFunction(dom, evaluator, name), op, [self, other], 2, weight)
-
     def __add__(self, other: "Summable") -> "Summable":
-        return self._combine(other, lambda a, b: a + b, "+", ONE)
+        return _pointwise([self, other], lambda a, b: a + b, f"({self.name}+{other.name})", ONE)
 
     def __sub__(self, other: "Summable") -> "Summable":
-        return self._combine(other, lambda a, b: a - b, "-", ONE)
+        return _pointwise([self, other], lambda a, b: a - b, f"({self.name}-{other.name})", ONE)
 
     def min_with(self, other: "Summable") -> "Summable":
-        return self._combine(other, lambda a, b: a.min_with(b), "&")
+        return _pointwise([self, other], lambda a, b: a.min_with(b), f"({self.name}&{other.name})")
 
     def max_with(self, other: "Summable") -> "Summable":
-        return self._combine(other, lambda a, b: a.max_with(b), "|")
+        return _pointwise([self, other], lambda a, b: a.max_with(b), f"({self.name}|{other.name})")
 
     def abs(self) -> "Summable":
         base = AEFunction(self.domain, lambda w: abs(self.base.evaluator(w)),
@@ -246,6 +272,17 @@ def _derived(base: AEFunction, op, operands: list, offset: int,
                     name=base.name, tail=tail)
 
 
+def _pointwise(fs: list, op, name: str, weight: Optional[Fraction] = None) -> Summable:
+    """Pointwise ``op``, which acts alike on approximants and on reals, of k
+    summables: on the intersection of their domains, from their terms ``n + ceil(log2 k) + 1``."""
+    dom = intersect_countable([g.domain for g in fs], name=f"dom[{name}]")
+
+    def evaluator(w: DomainWitness) -> CReal:
+        return op(*(g.base.evaluator(row_witness(w, i)) for i, g in enumerate(fs)))
+
+    return _derived(AEFunction(dom, evaluator, name), op, fs, ceil_log2(len(fs)) + 1, weight)
+
+
 def integral_uniqueness_check(f1: Summable, f2: Summable, p: int) -> bool:
     """Two approximation schedules of one function must agree to 2**-(p-2)."""
     return abs(f1.integral(p) - f2.integral(p)) <= pow2(-p + 2)
@@ -269,13 +306,8 @@ def certify_l1_gap(f1: Summable, f2: Summable, bound,
     k = max(0, 3 + ceil_log2(1 / bound))
     steps = cap if cap is not None else budget_cap(64)
     for _ in range(steps):
-        t1, t2 = f1.term(k), f2.term(k)
         slack = pow2(-k + 2)
-        gap = l1_upper(t1, t2)
-        if gap is not None and gap + slack < bound:
-            return k
-        gap = l1_distance(t1, t2)
-        if gap + slack < bound:
+        if l1_bound(f1.term(k), f2.term(k), lambda g: g + slack < bound) + slack < bound:
             return k
         k += 1
     raise BudgetExhausted(
@@ -337,9 +369,11 @@ def char_of_interval_union(union: IntervalUnion,
                            name: str = "") -> MeasurableSet:
     """Measurable set backed by a finite union of open rational intervals.
 
-    The characteristic's domain avoids the component endpoints (where no
-    evaluator could decide membership); an optional extra domain sequence is
-    intersected in, so witnesses transport to it by row.
+    The characteristic is ``piecewise_constant`` with the sorted component
+    endpoints as breaks, 1 on the pieces that start a component and 0 on
+    the others.  Its domain avoids the endpoints (where no evaluator could
+    decide membership); an optional extra domain sequence is intersected
+    in, so witnesses transport to it by row.
     """
     name = name or "union"
     if union.is_empty():
@@ -352,42 +386,12 @@ def char_of_interval_union(union: IntervalUnion,
         dom = avoid
     else:
         dom = intersect_pair(avoid, extra_domain, name=f"dom[{name}]")
-    components = union.ivs
-
-    def membership(xt: Fraction, r: Fraction) -> Optional[Fraction]:
-        lo, hi = max(ZERO, xt - r), min(ONE, xt + r)
-        if any(a <= lo and hi <= b for a, b in components):
-            return ONE
-        if all(hi <= a or b <= lo for a, b in components):
-            return ZERO
-        return None
-
+    # The piece right of an endpoint lies in the union when a component starts there.
+    starts = {a for a, _ in union.ivs}
     ed = lcm(*(t.denominator for t in endpoints))
-
-    def values_at(nums: Sequence[int], den: int) -> tuple:
-        # One sweep, x = p / den against the endpoints over ed scaled by den:
-        # i is the first component that does not end left of x.
-        out, i, count = [], 0, len(components)
-        scaled = [(a.numerator * (ed // a.denominator) * den,
-                   b.numerator * (ed // b.denominator) * den) for a, b in components]
-        for p in nums:
-            pe = p * ed
-            while i < count and scaled[i][1] < pe:
-                i += 1
-            if i < count and pe in scaled[i]:
-                raise ValueError(f"membership is undecidable at the endpoint {Fraction(p, den)}")
-            out.append(1 if i < count and scaled[i][0] < pe else 0)
-        return out, 1
-
-    def evaluator(w: DomainWitness) -> CReal:
-        x = w.x.rational
-        if x is not None:
-            return CReal.from_rational(values_at((x.numerator,), x.denominator)[0][0])
-        return refine_until_decided(
-            w.x, 3, 2, membership,
-            "membership decision exceeded the budget; witness may be invalid")
-
-    base = AEFunction(dom, evaluator, name=f"chi[{name}]", values_at=values_at)
+    base = piecewise_constant([t.numerator * (ed // t.denominator) for t in endpoints], ed,
+                              [0, *(int(t in starts) for t in endpoints)], 1, dom,
+                              f"chi[{name}]", 3)
     # Term k falls short only on two ramps per component, each (b - a) * 2**-(k+2)
     # wide: its L1 distance from the indicator is length * 2**-(k+2), and each
     # gap is that tail's drop.
@@ -538,17 +542,7 @@ def summable_min(fs: Sequence[Summable], name: str = "") -> Summable:
         raise ValueError("need at least one function")
     if len(fs) == 1:
         return fs[0]
-    dom = intersect_countable([g.domain for g in fs], name=f"dom[{name}]")
-
-    def op(*xs):
-        """Left-folded minimum; acts alike on approximants and on reals."""
-        return reduce(lambda a, b: a.min_with(b), xs)
-
-    def evaluator(w: DomainWitness) -> CReal:
-        return op(*(g.base.evaluator(row_witness(w, i)) for i, g in enumerate(fs)))
-
-    base = AEFunction(dom, evaluator, name=name or "min")
-    return _derived(base, op, fs, ceil_log2(len(fs)) + 1)
+    return _pointwise(fs, lambda *xs: reduce(lambda a, b: a.min_with(b), xs), name or "min")
 
 
 def countable_set_intersection(sets: Callable[[int], MeasurableSet] | Sequence[MeasurableSet],

@@ -20,16 +20,15 @@ from fractions import Fraction
 from itertools import compress
 from math import ceil, floor, lcm
 from threading import RLock
-from typing import Callable, Optional
+from typing import Callable
 
 from .aefunc import (AEFunction, MeasurableSet, Summable, certify_l1_gap,
                      char_of_interval_union, limit_of_summables,
-                     point_in_positive_set)
+                     piecewise_constant, point_in_positive_set)
 from .errors import BudgetExhausted, CertificationError
-from .exact import (CReal, Memo, clamp01, pow2, rat_approx,
-                    refine_until_decided, to_ratstr)
-from .polygonal import (IntervalUnion, Plateaus, Polygonal, StepPolygonal,
-                        l1_distance, l1_upper, step_function, sublevel)
+from .exact import CReal, Memo, clamp01, pow2, rat_approx, to_ratstr
+from .polygonal import (IntervalUnion, Plateaus, Polygonal, StepPolygonal, l1_bound,
+                        step_function, sublevel)
 from .regular import (DomainWitness, RegularSeq, intersect_pair,
                       point_avoiding_seq, realize_point, row_witness)
 
@@ -136,14 +135,13 @@ class Bridge:
     The tables compute from closures over the function's fields and over one
     another, never through the bridge or the function, so a bridge, its
     plans and its nets are freed by reference counting, with no cycle left
-    for the collector.  ``f`` is the function while anything else holds it,
-    and after that the bridge's equal copy of it, which does not hold the
-    bridge.
+    for the collector.  ``f`` is an equal copy of the function, which does
+    not hold the bridge.
     """
 
     def __init__(self, f: AEFunction, name: str = ""):
-        self._ref, self._own, self.name = weakref.ref(f), replace(f), name or f.name or "f"
-        own, name, chains = self._own, self.name, {}
+        self.f, self.name = replace(f), name or f.name or "f"
+        own, name, chains = self.f, self.name, {}
         deltas = self._delta_unions = Memo(
             lambda n: sublevel(own.domain.term(n), TWO_THIRDS ** n))
 
@@ -169,11 +167,6 @@ class Bridge:
         # through a weak proxy.
         me = weakref.proxy(self)
         self._nets = Memo(lambda alpha: _build_net(alpha, plans, me.zeta, own, name))
-
-    @property
-    def f(self) -> AEFunction:
-        f = self._ref()
-        return self._own if f is None else f
 
     # -- sublevel sets and intersections -------------------------------------------
 
@@ -258,8 +251,10 @@ class Bridge:
         level plan, and every cell where the domain has a profile gets its
         exact value from one call of it, with no witness made or kept; other
         cells go through ``zeta``.  The coefficients are kept as one shared
-        ``Plateaus``.  The net's domain avoids the cell boundaries; it is
-        built when a term or profile of it is first asked for.
+        ``Plateaus``, and the net's function is ``piecewise_constant`` on
+        the cells, so it carries ``values_at`` too.  The net's domain avoids
+        the cell boundaries; it is built when a term or profile of it is
+        first asked for.
         """
         return self._nets(alpha)
 
@@ -343,11 +338,8 @@ class Bridge:
                 except BudgetExhausted:
                     m_try += 1
                     continue
-                gap = l1_upper(cand.term(at), prev.term(at))
-                if gap is None:
-                    gap = l1_distance(cand.term(at), prev.term(at))
                 ladder_levels.append(m_try)
-                gaps.append(gap)
+                gaps.append(l1_bound(cand.term(at), prev.term(at)))
                 prev = cand
                 placed = True
                 break
@@ -514,7 +506,6 @@ def _build_net(alpha: NetIndex, plans: Memo, zeta: Callable, f: AEFunction,
     common, got, fell = lcm(den, *(v.denominator for v in rest)), iter(values), iter(rest)
     plateaus = Plateaus.from_integers(
         [next(got) * (common // den) if ok else int(next(fell) * common) for ok in exact], common)
-    cell = pow2(-m)
 
     def grid_domain() -> RegularSeq:
         avoid = point_avoiding_seq([Fraction(l, 1 << m) for l in range(1, 1 << m)],
@@ -522,19 +513,8 @@ def _build_net(alpha: NetIndex, plans: Memo, zeta: Callable, f: AEFunction,
         return intersect_pair(avoid, domain, name=f"netdom({m})")
 
     dom = _built_on_first_use(grid_domain, name=f"netdom({m})")
-
-    def locate(xt: Fraction, r: Fraction) -> Optional[Fraction]:
-        idx = min(int(xt * (1 << m)), (1 << m) - 1)
-        lo = idx * cell
-        if lo + r < xt < lo + cell - r:
-            return plateaus[idx]
-        return None
-
-    def evaluator(wit: DomainWitness) -> CReal:
-        return refine_until_decided(wit.x, m + 2, 2, locate,
-                                    "cell location exceeded the budget")
-
-    base = AEFunction(dom, evaluator, name=f"net({name},m={m})")
+    base = piecewise_constant(range(1, 1 << m), 1 << m, plateaus.nums, plateaus.den, dom,
+                              f"net({name},m={m})", m + 2)
     out = Summable(base, lambda j: step_function(plateaus, m, j), name=base.name)
     out.coefficient_sum = Fraction(plateaus.total, plateaus.den << m)
     return out

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .aefunc import AEFunction, Summable, char_of_interval_union
+from .aefunc import AEFunction, Summable, char_of_interval_union, piecewise_constant
 from .bridge import Bridge, NetIndex, RiemannCertificate, bridge_for
-from .exact import CReal, HALF, Memo, ceil_log2, clamp01, pow2, refine_until_decided
+from .exact import CReal, HALF, Memo, ceil_log2, clamp01, pow2
 from .polygonal import IntervalUnion, Polygonal
 from .regular import DomainWitness, RegularSeq, TailProfile, point_avoiding_seq
 
@@ -99,20 +99,10 @@ def _step_summable(name: str = "ae-step") -> Summable:
 
     The domain sequence is a stack of unit-height tents shrinking around the
     midpoint, so the bounded-sum set excludes exactly that point; every
-    witness carries an effective distance from it.
+    witness carries an effective distance from it.  The function is
+    ``piecewise_constant``, so its nets sample it in one batch.
     """
     domain = point_avoiding_seq([HALF], name="step-dom")
-
-    def side(xt: Fraction, r: Fraction) -> Optional[Fraction]:
-        if xt + r < HALF:
-            return ZERO
-        if xt - r > HALF:
-            return ONE
-        return None
-
-    def evaluator(w: DomainWitness) -> CReal:
-        return refine_until_decided(w.x, 2, 1, side,
-                                    "step side undecided within budget")
 
     def ramp_width(n: int) -> Fraction:
         return pow2(-(n + 2))
@@ -122,7 +112,7 @@ def _step_summable(name: str = "ae-step") -> Summable:
         return Polygonal((ZERO, HALF, HALF + w, ONE), (ZERO, ZERO, ONE, ONE))
 
     # The ramp's triangle, half its width, is term n's L1 distance from the step.
-    base = AEFunction(domain, evaluator, name=name)
+    base = piecewise_constant((1,), 2, (0, 1), 1, domain, name, 2)
     return Summable(base, term, name=name, tail=lambda n: ramp_width(n) / 2)
 
 

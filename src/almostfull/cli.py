@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 import time
 from pathlib import Path
@@ -19,7 +18,7 @@ from pathlib import Path
 from .bridge import NetIndex, bridge_for
 from .catalog import CATALOG_NAMES, get_entry, poly_entry
 from .errors import BudgetExhausted, CertificationError, RegularityError
-from .exact import pow2, to_ratstr
+from .exact import budget_cap, pow2, to_ratstr
 from .polygonal import Polygonal
 from .reports import RunReport, rows_to_csv
 from .verify import SUITES, run_suite
@@ -52,9 +51,10 @@ def _load_entry(name: str):
 
 
 def _check_budget() -> None:
-    raw = os.environ.get("ALMOSTFULL_BUDGET")
-    if raw is not None and not (raw.strip().isdecimal() and int(raw) >= 1):
-        raise InputError(f"ALMOSTFULL_BUDGET must be a positive integer, got {raw!r}")
+    try:
+        budget_cap(1)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def nonnegative(text: str) -> int:

@@ -63,12 +63,15 @@ def budget_cap(default: int) -> int:
     """Step cap for bounded searches.
 
     The environment variable ``ALMOSTFULL_BUDGET`` overrides every default at
-    once; raising it gives constructions more room before they give up.
+    once; raising it gives constructions more room before they give up.  Any
+    value but a positive decimal integer raises ValueError.
     """
     raw = os.environ.get("ALMOSTFULL_BUDGET")
     if raw is None:
         return default
-    return max(1, int(raw))
+    if not (raw.strip().isdecimal() and int(raw) >= 1):
+        raise ValueError(f"ALMOSTFULL_BUDGET must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def clamp01(q: Fraction) -> Fraction:

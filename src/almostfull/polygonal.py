@@ -648,43 +648,32 @@ def union_indicator(union: IntervalUnion, j: int) -> Polygonal:
 
 
 def _union_indicator(components, j: int) -> Polygonal:
-    # Over den * 2**s, the ramps of (a, b) end at a + w = (a (2**s - 1) + b) / 2**s
-    # and start at b - w = (b (2**s - 1) + a) / 2**s.
-    s = j + 2
     den = lcm(*(t.denominator for iv in components for t in iv))
-    ramp = (1 << s) - 1
-    x, v = [0], [0]
-    for a, b in components:
-        a = a.numerator * (den // a.denominator)
-        b = b.numerator * (den // b.denominator)
-        for t, h in ((a << s, 0), (a * ramp + b, 1), (b * ramp + a, 1), (b << s, 0)):
-            if t != x[-1]:
-                x.append(t)
-                v.append(h)
-    if x[-1] != den << s:
-        x.append(den << s)
-        v.append(0)
-    return _of_kinks(x, den << s, v, 1)
+    pieces = ((a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), 1)
+              for a, b in components)
+    return _of_kinks(*_trapezoids(pieces, den, j + 2), 1)
 
 
-def _step_nodes(plateaus: "Plateaus", m: int, j: int):
-    """Integer nodes of a step profile, in units of the ramp width ``2**-(m+j+2)``."""
-    s = j + 2
-    cell = 1 << s
+def _trapezoids(pieces, den: int, s: int):
+    """Integer nodes ``(x, xd, v)`` of a sum of trapezoids on disjoint intervals.
+
+    Piece ``(a, b, h)`` has integer ends over ``den`` and a nonzero height
+    h, with ramps of width ``(b - a) * 2**-s``, s >= 2, just inside its
+    ends.  A node between neighbouring pieces of opposite sign is
+    collinear, so step profiles pass the nodes through ``_kinks``.
+    """
     x, v = [0], [0]
-    for l, num in enumerate(plateaus.nums):
-        if num == 0:
-            continue
-        a = l << s
+    for a, b, h in pieces:
+        w, a, b = b - a, a << s, b << s
         if a != x[-1]:
             x.append(a)
             v.append(0)
-        x += (a + 1, a + cell - 1, a + cell)
-        v += (num, num, 0)
-    if x[-1] != cell << m:
-        x.append(cell << m)
+        x += (a + w, b - w, b)
+        v += (h, h, 0)
+    if x[-1] != den << s:
+        x.append(den << s)
         v.append(0)
-    return x, cell << m, v, plateaus.den
+    return x, den << s, v
 
 
 class Plateaus:
@@ -748,7 +737,10 @@ class StepPolygonal(Polygonal):
 
     def __getattr__(self, name):
         if name in ("_x", "_xd", "_v", "_vd"):
-            nodes = _reduced(*_kinks(*_step_nodes(self.coeffs, self.level, self.ramp_exp)))
+            c = self.coeffs
+            cells = zip(count(), count(1), c.nums)
+            cells = _trapezoids(compress(cells, c.nums), 1 << self.level, self.ramp_exp + 2)
+            nodes = _reduced(*_kinks(*cells, c.den))
             self._x, self._xd, self._v, self._vd = nodes
             return getattr(self, name)
         raise AttributeError(name)
@@ -863,3 +855,12 @@ def l1_upper(a: Polygonal, b: Polygonal):
     if isinstance(a, StepPolygonal) and isinstance(b, StepPolygonal):
         return step_plateau_l1(a, b) + a.ramp_slack() + b.ramp_slack()
     return None
+
+
+def l1_bound(a: Polygonal, b: Polygonal, enough=lambda gap: True) -> Fraction:
+    """An upper bound for ``integral |a - b|``: ``l1_upper`` when it exists and
+    ``enough`` accepts it, else the exact ``l1_distance``."""
+    gap = l1_upper(a, b)
+    if gap is None or not enough(gap):
+        gap = l1_distance(a, b)
+    return gap

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from almostfull import (BudgetExhausted, CReal, DyadicInterval, Verdict,
                         ceil_log2, from_ratstr, pow2, rat_approx, soft_compare,
                         to_ratstr)
-from almostfull.exact import Memo, refine_until_decided
+from almostfull.exact import Memo, budget_cap, refine_until_decided
 
 HALF = Fraction(1, 2)
 
@@ -247,3 +247,25 @@ class TestMemo:
             assert memo("gap") is None
             assert memo("theta") is False
         assert calls == ["gap", "theta"]
+
+
+class TestBudgetCap:
+    """``budget_cap`` is the one reader of ``ALMOSTFULL_BUDGET``; the CLI maps
+    its error to exit 2."""
+
+    @pytest.mark.parametrize("raw", ["0", "-3", "abc", "", "1.5"])
+    def test_library_and_cli_reject_alike(self, monkeypatch, capsys, raw):
+        from almostfull import cli
+
+        monkeypatch.setenv("ALMOSTFULL_BUDGET", raw)
+        with pytest.raises(ValueError, match="ALMOSTFULL_BUDGET"):
+            budget_cap(64)
+        assert cli.main(["integrate", "--function", "tent"]) == 2
+        assert "ALMOSTFULL_BUDGET" in capsys.readouterr().err
+
+    def test_positive_integers_override_every_default(self, monkeypatch):
+        monkeypatch.delenv("ALMOSTFULL_BUDGET", raising=False)
+        assert budget_cap(64) == 64
+        for raw, cap in (("1", 1), ("5", 5), (" 7 ", 7)):
+            monkeypatch.setenv("ALMOSTFULL_BUDGET", raw)
+            assert budget_cap(64) == budget_cap(4096) == cap

@@ -103,6 +103,8 @@ FUNCTIONS = {
     "tent": lambda: AEFunction.from_polygonal(TENT, name="tent"),
     "bump": lambda: AEFunction.from_polygonal(BUMP, name="bump"),
     "ae-step": lambda: get_entry("ae-step").function,
+    # x**2 has no values_at: every cell takes zeta and the certified evaluator.
+    "square": lambda: get_entry("square").function,
     "indicator-1": lambda: indicator(seeded_union(random.Random(11), 1)),
     "indicator-3": lambda: indicator(seeded_union(random.Random(33), 3)),
     "upper-half": lambda: get_entry("char-upper-half").function,
@@ -118,7 +120,7 @@ class TestBatchedNets:
     @pytest.mark.parametrize("name", sorted(FUNCTIONS))
     def test_plateaus_match_per_cell_sampling(self, name):
         f = FUNCTIONS[name]()
-        assert (f.values_at is None) == (name == "ae-step")
+        assert (f.values_at is None) == (name == "square")
         bridge = Bridge(f)
         rng = random.Random(5)
         indices = [NetIndex.canonical(m) for m in range(0, 7)]
@@ -127,9 +129,9 @@ class TestBatchedNets:
         assert any(len({ml for _, ml, _ in a.cells}) > 1 for a in indices)
         for alpha in indices:
             assert batched_plateaus(bridge, alpha) == per_cell_plateaus(f, alpha), alpha.level
-        assert (len(bridge._zeta) > 0) == (name in ("ae-step", "tent-off-third"))
+        assert (len(bridge._zeta) > 0) == (name in ("square", "tent-off-third"))
 
-    @pytest.mark.parametrize("name", ["identity", "indicator-3"])
+    @pytest.mark.parametrize("name", ["identity", "indicator-3", "ae-step"])
     def test_exact_nets_keep_no_witness(self, name):
         bridge = Bridge(FUNCTIONS[name]())
         bridge.net(NetIndex.canonical(12))

@@ -32,8 +32,8 @@ def traced(function, keys):
         assert t.counts[key] > 0, (function, key)
 
 
-# ae-step evaluates through refinement: generic certified reals.
-traced("ae-step", ("bridge.net.calls", "bridge.net.built", "bridge.zeta.calls",
+# square has no values_at: every cell takes zeta and a generic certified real.
+traced("square", ("bridge.net.calls", "bridge.net.built", "bridge.zeta.calls",
                    "exact.creal_created", "exact.rat_approx.calls",
                    "aefunc.summable_term.generated", "regular.term.generated",
                    "polygonal.step_function.cells"))
