@@ -572,16 +572,21 @@ def countable_set_intersection(sets: Callable[[int], MeasurableSet] | Sequence[M
     partial = Memo(meet)
     cap = budget_cap(4096)
 
+    # Where each step of the greedy walk stopped.  The walk goes on from the
+    # last one; it is kept here, not read back from the table, so the table
+    # holds no reference to itself.
+    stops = []
+
     def cut(j: int) -> int:
-        # The greedy walk is replayed from 0, so the table never reads itself.
-        nu = 0
-        for i in range(j + 1):
-            while defect_tail(nu) >= pow2(-i - 1):
+        while len(stops) <= j:
+            nu = stops[-1] if stops else 0
+            while defect_tail(nu) >= pow2(-len(stops) - 1):
                 nu += 1
                 if nu > cap:
                     raise BudgetExhausted(
                         "defect tail does not shrink; series may diverge", needed=nu)
-        return nu
+            stops.append(nu)
+        return stops[j]
 
     thin = Memo(cut)
 

@@ -27,13 +27,12 @@ from .aefunc import (AEFunction, MeasurableSet, Summable, certify_l1_gap,
                      piecewise_constant, point_in_positive_set)
 from .errors import BudgetExhausted, CertificationError
 from .exact import CReal, Memo, clamp01, pow2, rat_approx, to_ratstr
-from .polygonal import (IntervalUnion, Plateaus, Polygonal, StepPolygonal, l1_bound,
-                        step_function, sublevel)
+from .polygonal import (IntervalUnion, Plateaus, Polygonal, StepPolygonal,
+                        indicator_approx, l1_bound, step_function, sublevel)
 from .regular import (DomainWitness, RegularSeq, intersect_pair,
                       point_avoiding_seq, realize_point, row_witness)
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 TWO_THIRDS = Fraction(2, 3)
 THREE_QUARTERS = Fraction(3, 4)
 THIRD = Fraction(1, 3)
@@ -484,7 +483,7 @@ def _sample_in(plans: Memo, gammas: Memo, domain: RegularSeq, k: int, m: int, n:
     lo, hi = _cell_bounds(k, m)
     if _piece(plans, k, m, n) is False:
         shift = 2 * m + 6
-        realized = realize_point(_cell_trapezoid(lo, hi), domain.shifted(shift), shift)
+        realized = realize_point(indicator_approx((lo, hi), 0), domain.shifted(shift), shift)
         extra = sum((domain.term(i).max_value() for i in range(shift)), ZERO)
         return DomainWitness(x=realized.point, gamma=realized.bound + extra), None
     union = gammas((n, _gamma_depth(m, n))).intersect_interval(lo, hi)
@@ -518,19 +517,6 @@ def _build_net(alpha: NetIndex, plans: Memo, zeta: Callable, f: AEFunction,
     out = Summable(base, lambda j: step_function(plateaus, m, j), name=base.name)
     out.coefficient_sum = Fraction(plateaus.total, plateaus.den << m)
     return out
-
-
-def _cell_trapezoid(lo: Fraction, hi: Fraction) -> Polygonal:
-    """Plateau bump supported inside (lo, hi), integral 3/4 of the length."""
-    w = (hi - lo) / 4
-    xs = [ZERO] if lo > 0 else []
-    vs = [ZERO] if lo > 0 else []
-    xs += [lo, lo + w, hi - w, hi]
-    vs += [ZERO, ONE, ONE, ZERO]
-    if hi < 1:
-        xs.append(ONE)
-        vs.append(ZERO)
-    return Polygonal(tuple(xs), tuple(vs))
 
 
 def _gamma_depth(m: int, n: int) -> int:

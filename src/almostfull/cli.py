@@ -145,6 +145,8 @@ def cmd_net_table(args) -> int:
 def cmd_verify(args) -> int:
     if args.suite not in SUITES:
         raise InputError(f"unknown suite: {args.suite}; choose from {sorted(SUITES)}")
+    if args.corrupt_catalog and args.suite != "bridge":
+        raise InputError("--corrupt-catalog applies to --suite bridge only")
     checks = run_suite(args.suite, args.seed, corrupt=args.corrupt_catalog)
     ok = all(c.ok for c in checks)
     report = RunReport(
@@ -196,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"one of {', '.join(sorted(SUITES))}")
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--corrupt-catalog", action="store_true",
-                       help="inject a fault to demonstrate detection")
+                       help="bridge suite only: inject a fault to show detection")
     p_ver.set_defaults(fn=cmd_verify)
     return parser
 

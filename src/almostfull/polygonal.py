@@ -23,7 +23,7 @@ from math import gcd, lcm
 from operator import add, lt, mul, ne, sub
 from typing import Iterable, Sequence
 
-from .exact import (CReal, DyadicInterval, ceil_log2, clamp01, pow2, to_ratstr,
+from .exact import (CReal, DyadicInterval, ceil_log2, clamp01, to_ratstr,
                     from_ratstr)
 
 ZERO = Fraction(0)
@@ -137,7 +137,7 @@ class Polygonal:
                 w = lcm(w, x1 - x0)
         return [t * (w // d) for t, d in out], self._vd * den * w
 
-    def _trapezoids(self, i: int, j: int) -> int:
+    def _twice_area(self, i: int, j: int) -> int:
         """Twice the integral from node i to node j, as a numerator over ``xd * vd``."""
         x, v = self._x, self._v
         return sum(map(mul, map(sub, x[i + 1:j + 1], x[i:j]),
@@ -146,7 +146,7 @@ class Polygonal:
     def integral(self) -> Fraction:
         """Exact integral over [0, 1] (trapezoid sum)."""
         if self._integral is None:
-            self._integral = Fraction(self._trapezoids(0, len(self._x) - 1),
+            self._integral = Fraction(self._twice_area(0, len(self._x) - 1),
                                       2 * self._xd * self._vd)
         return self._integral
 
@@ -161,7 +161,7 @@ class Polygonal:
             return self.integral()
         i, a, da = self._partial(lo)
         j, b, db = self._partial(hi)
-        return Fraction(self._trapezoids(i, j) * da * db + b * da - a * db,
+        return Fraction(self._twice_area(i, j) * da * db + b * da - a * db,
                         2 * self._xd * self._vd * da * db)
 
     def _partial(self, t: Fraction):
@@ -621,21 +621,20 @@ def sublevel(h: Polygonal, theta) -> IntervalUnion:
 
 
 def indicator_approx(interval, j: int) -> Polygonal:
-    """Trapezoid approximant of the indicator of an open interval.
+    """Trapezoid approximant of the indicator of an open interval: the
+    ``union_indicator`` of the one-component union.
 
     Ramps of width ``2**-(j+2) * length`` sit just inside the interval, so the
     function is 1 on the middle, 0 outside, and successive approximants differ
     by ``2**-(j+3) * length`` in the L1 norm.
     """
-    if j < 0:
-        raise ValueError("grid index must be >= 0")
     if isinstance(interval, DyadicInterval):
         a, b = interval.left, interval.right
     else:
         a, b = Fraction(interval[0]), Fraction(interval[1])
     if not 0 <= a < b <= 1:
         raise ValueError("need a nondegenerate interval inside [0, 1]")
-    return _union_indicator(((a, b),), j)
+    return union_indicator(IntervalUnion(((a, b),), _trusted=True), j)
 
 
 def union_indicator(union: IntervalUnion, j: int) -> Polygonal:
@@ -644,32 +643,34 @@ def union_indicator(union: IntervalUnion, j: int) -> Polygonal:
         raise ValueError("grid index must be >= 0")
     if union.is_empty():
         return Polygonal.constant(0)
-    return _union_indicator(union.ivs, j)
-
-
-def _union_indicator(components, j: int) -> Polygonal:
-    den = lcm(*(t.denominator for iv in components for t in iv))
+    den = lcm(*(t.denominator for iv in union.ivs for t in iv))
     pieces = ((a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), 1)
-              for a, b in components)
+              for a, b in union.ivs)
     return _of_kinks(*_trapezoids(pieces, den, j + 2), 1)
 
 
 def _trapezoids(pieces, den: int, s: int):
-    """Integer nodes ``(x, xd, v)`` of a sum of trapezoids on disjoint intervals.
+    """Canonical integer nodes ``(x, xd, v)`` of a sum of trapezoids on
+    disjoint intervals: the one place that knows the trapezoid shape.
 
     Piece ``(a, b, h)`` has integer ends over ``den`` and a nonzero height
     h, with ramps of width ``(b - a) * 2**-s``, s >= 2, just inside its
-    ends.  A node between neighbouring pieces of opposite sign is
-    collinear, so step profiles pass the nodes through ``_kinks``.
+    ends.  Every node is a kink except, possibly, the one where two pieces
+    touch: it is dropped when their ramps have one slope, which needs
+    heights of opposite sign.
     """
-    x, v = [0], [0]
+    x, v, hp, wp = [0], [0], 0, 1
     for a, b, h in pieces:
         w, a, b = b - a, a << s, b << s
         if a != x[-1]:
             x.append(a)
             v.append(0)
+        elif h * wp == -hp * w:
+            x.pop()
+            v.pop()
         x += (a + w, b - w, b)
         v += (h, h, 0)
+        hp, wp = h, w
     if x[-1] != den << s:
         x.append(den << s)
         v.append(0)
@@ -715,10 +716,11 @@ class StepPolygonal(Polygonal):
     """Dyadic step profile with trapezoid ramps, kept in closed form.
 
     Stores the cell values as ``Plateaus`` (integer numerators over one
-    common denominator) plus the ramp grid index; integrals, evaluation and
-    L1 comparisons against other step profiles run off that metadata in
-    integer arithmetic, and the integer nodes are materialized only when
-    some generic polygonal operation asks for them.
+    common denominator) plus the ramp grid index.  ``integral``, ``eval``
+    and ``ramp_slack`` (and with it ``l1_upper`` against another step
+    profile) run off that metadata in integer arithmetic; every other
+    method is the inherited one, on the canonical nodes that ``_trapezoids``
+    emits when first asked for.
     """
 
     __slots__ = ("coeffs", "level", "ramp_exp")
@@ -739,9 +741,8 @@ class StepPolygonal(Polygonal):
         if name in ("_x", "_xd", "_v", "_vd"):
             c = self.coeffs
             cells = zip(count(), count(1), c.nums)
-            cells = _trapezoids(compress(cells, c.nums), 1 << self.level, self.ramp_exp + 2)
-            nodes = _reduced(*_kinks(*cells, c.den))
-            self._x, self._xd, self._v, self._vd = nodes
+            x, xd, v = _trapezoids(compress(cells, c.nums), 1 << self.level, self.ramp_exp + 2)
+            self._x, self._xd, self._v, self._vd = _reduced(x, xd, v, c.den)
             return getattr(self, name)
         raise AttributeError(name)
 
@@ -749,10 +750,6 @@ class StepPolygonal(Polygonal):
     def _ramp_bits(self) -> int:
         """The ramp width is ``2**-_ramp_bits``."""
         return self.level + self.ramp_exp + 2
-
-    @property
-    def ramp_width(self) -> Fraction:
-        return pow2(-self._ramp_bits)
 
     def integral(self) -> Fraction:
         if self._integral is None:
@@ -784,30 +781,6 @@ class StepPolygonal(Polygonal):
         if off >= (span - 1) * q:
             return Fraction(num * (span * q - off), self.coeffs.den * q)
         return Fraction(num, self.coeffs.den)
-
-    def min_value(self) -> Fraction:
-        worst = min(self.coeffs.nums)
-        return Fraction(worst, self.coeffs.den) if worst < 0 else ZERO
-
-    def max_value(self) -> Fraction:
-        best = max(self.coeffs.nums)
-        return Fraction(best, self.coeffs.den) if best > 0 else ZERO
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs.nums)
-
-    def is_nonneg(self) -> bool:
-        return min(self.coeffs.nums) >= 0
-
-    def lipschitz(self) -> Fraction:
-        if self._lipschitz is None:
-            c = self.coeffs
-            peak = max(map(abs, c.nums), default=0)
-            self._lipschitz = Fraction(peak << self._ramp_bits, c.den)
-        return self._lipschitz
-
-    def abs_mass(self) -> Fraction:
-        return Fraction(self.coeffs.abs_total, self.coeffs.den)
 
     def ramp_slack(self) -> Fraction:
         """Exact L1 distance to the pure step with the same plateaus."""

@@ -17,6 +17,7 @@ from almostfull import (AEFunction, CReal, CertificationError, DomainWitness,
                         point_in_pps, positive_point, pow2, rat_approx,
                         summable_min)
 from almostfull.catalog import get_entry, square_offset_summable
+from almostfull.errors import BudgetExhausted
 
 F = Fraction
 HALF = F(1, 2)
@@ -395,6 +396,27 @@ class TestCountableIntersection:
             x_set, lambda n: pow2(-(n + 2)), lambda n: pow2(-(n + 2)),
             name="nested")
         assert abs(y.measure(8) - F(3, 4)) <= pow2(-8) + pow2(-8)
+
+    def test_thinning_walks_each_step_once(self):
+        # Step j of the greedy thinning starts where step j - 1 stopped, so a
+        # tail is read at most twice by the walk and once by the reported bound.
+        asked = []
+
+        def tail(n):
+            asked.append(n)
+            return pow2(-(n + 1))
+
+        full = char_of(0, 1)
+        y, _ = countable_set_intersection(lambda n: full, lambda n: pow2(-(n + 1)), tail)
+        y.measure(10)
+        assert max(map(asked.count, asked)) <= 3
+
+    def test_thinning_budget(self, monkeypatch):
+        monkeypatch.setenv("ALMOSTFULL_BUDGET", "50")
+        full = char_of(0, 1)
+        with pytest.raises(BudgetExhausted) as err:
+            countable_set_intersection(lambda n: full, lambda n: F(1), lambda n: F(1))
+        assert err.value.needed == 51
 
 
 class TestSummableMin:

@@ -9,6 +9,7 @@ import pytest
 
 from almostfull import Polygonal, cli, from_ratstr, pow2
 from almostfull.cli import main
+from almostfull.polygonal import StepPolygonal
 
 F = Fraction
 
@@ -42,6 +43,22 @@ class TestIntegrate:
         assert code == 0
         value = from_ratstr(json.loads(out)["results"]["value"])
         assert abs(value - F(1, 2)) <= pow2(-10)
+
+    @pytest.mark.parametrize("name", ["identity", "three-piece", "tent", "ae-step", "square"])
+    def test_net_route_reads_step_profiles_in_closed_form(self, capsys, monkeypatch, name):
+        # The net route needs only the closed forms a step profile keeps
+        # (integral, eval, ramp_slack): none of its nodes is materialized.
+        materialized = []
+        nodes = StepPolygonal.__getattr__
+
+        def spy(self, attr):
+            materialized.append(attr)
+            return nodes(self, attr)
+
+        monkeypatch.setattr(StepPolygonal, "__getattr__", spy)
+        code, _, _ = run(capsys, "integrate", "--function", name,
+                         "--method", "riemann-net", "--precision", "8")
+        assert (code, materialized) == (0, [])
 
     def test_unknown_function_exit_2(self, capsys):
         code, _, err = run(capsys, "integrate", "--function", "nope")
@@ -168,6 +185,14 @@ class TestVerify:
         checks = json.loads(out)["results"]["checks"]
         failed = [c for c in checks if not c["ok"]]
         assert failed and "invariant" in failed[0]["detail"]
+
+    @pytest.mark.parametrize("suite", ["regularity", "witnesses", "integrals", "routes"])
+    def test_corrupt_catalog_refused_outside_bridge(self, capsys, suite):
+        # Only the bridge suite injects a fault; elsewhere the flag would claim
+        # a detection that never ran.
+        code, out, err = run(capsys, "verify", "--suite", suite, "--corrupt-catalog")
+        assert (code, out) == (2, "")
+        assert err == "--corrupt-catalog applies to --suite bridge only\n"
 
 
 class TestMalformedInput:

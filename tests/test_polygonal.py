@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from almostfull import (CReal, DyadicInterval, IntervalUnion, Polygonal,
                         indicator_approx, pow2, step_function, sublevel,
@@ -254,12 +254,30 @@ class TestIntegerPlateaus:
         s = step_function(coeffs, m, j)
         assert list(s.coeffs) == coeffs
         assert s.integral() == ref_integral(coeffs, m, j)
-        assert s.abs_mass() == ref_abs_mass(coeffs)
+        assert F(s.coeffs.abs_total, s.coeffs.den) == ref_abs_mass(coeffs)
         assert s.ramp_slack() == ref_abs_mass(coeffs) * pow2(-(m + j + 2))
         dense = Polygonal(s.xs, s.vs)
         assert s.integral() == dense.integral()
         assert s.lipschitz() == dense.lipschitz()
         assert (s.min_value(), s.max_value()) == (dense.min_value(), dense.max_value())
+
+    @given(st.integers(0, 4).flatmap(lambda m: st.tuples(
+        st.lists(st.integers(-2, 2), min_size=1 << m, max_size=1 << m), st.just(m))),
+        st.integers(0, 3))
+    @example(([1, -1], 1), 0)
+    @example(([2, -1, 1, -2], 2), 1)
+    @settings(max_examples=150)
+    def test_step_nodes_are_canonical(self, cm, j):
+        # Neighbouring plateaus of opposite sign can share one ramp slope,
+        # and then their common node is not a kink.
+        coeffs, m = cm
+        s = step_function(coeffs, m, j)
+        dense = Polygonal(s.xs, s.vs)
+        assert (s._x, s._xd, s._v, s._vd) == (dense._x, dense._xd, dense._v, dense._vd)
+        # Both are linear between neighbouring ramp ends, so this is equality.
+        bits = m + j + 2
+        assert all(dense.eval(F(k, 1 << bits)) == s.eval(F(k, 1 << bits))
+                   for k in range((1 << bits) + 1))
 
     @given(step_coeffs(), step_coeffs(), st.integers(0, 5), st.integers(0, 5))
     @settings(max_examples=150)
