@@ -14,7 +14,7 @@ from .exact import (CReal, DyadicInterval, Rational, Verdict, ceil_log2,
                     from_ratstr, pow2, rat_approx, soft_compare, to_ratstr)
 from .polygonal import (IntervalUnion, Polygonal, indicator_approx,
                         step_function, sublevel, union_indicator)
-from .regular import (DomainWitness, RealizedPoint, RegularSeq, TailProfile,
+from .regular import (DomainWitness, RealizedPoint, RegularSeq,
                       decay_bound, geometric_decay, intersect_countable,
                       intersect_pair, point_avoiding_seq, point_in_pps,
                       realize_point, row_witness, witness_precision)
@@ -33,7 +33,7 @@ __all__ = [
     "CertificationError", "DomainWitness", "DyadicInterval", "GammaInfo",
     "IntervalUnion", "MeasurableSet", "NetIndex", "Polygonal", "Rational",
     "RealizedPoint", "RegularSeq", "RegularityError", "RiemannCertificate",
-    "Summable", "TailProfile", "Verdict", "ae_zero_of_null_integral",
+    "Summable", "Verdict", "ae_zero_of_null_integral",
     "bridge_for", "ceil_log2", "certify_l1_gap", "char_of_interval_union",
     "countable_set_intersection", "decay_bound", "from_ratstr",
     "full_measure_to_pps", "geometric_decay", "indicator_approx",

@@ -412,9 +412,9 @@ def point_in_positive_set(x: MeasurableSet, prefix: int = 24) -> DomainWitness:
     if x.support is not None and not x.support.is_empty():
         a, b = x.support.largest_component()
         candidate = a + (b - a) / 3
-        prof = x.characteristic.domain.profile_at(candidate)
-        if prof is not None:
-            w = DomainWitness(x=CReal.from_rational(candidate), gamma=prof.total)
+        gamma = x.characteristic.domain.profile_at(candidate)
+        if gamma is not None:
+            w = DomainWitness(x=CReal.from_rational(candidate), gamma=gamma)
             value = x.characteristic.eval(w).approx(3)
             if abs(value - 1) <= Fraction(1, 8):
                 return w
@@ -545,11 +545,11 @@ def summable_min(fs: Sequence[Summable], name: str = "") -> Summable:
     return _pointwise(fs, lambda *xs: reduce(lambda a, b: a.min_with(b), xs), name or "min")
 
 
-def countable_set_intersection(sets: Callable[[int], MeasurableSet] | Sequence[MeasurableSet],
+def countable_set_intersection(sets: Callable[[int], MeasurableSet],
                                defects: Callable[[int], Fraction],
                                defect_tail: Callable[[int], Fraction],
                                name: str = ""):
-    """Intersection of countably many measurable sets with summable defects.
+    """Intersection of the measurable sets ``X_n = sets(n)`` with summable defects.
 
     ``defects(n)`` bounds ``1 - measure(X_n)`` and ``defect_tail(n)`` the
     exact tail ``sum_{k>n} defects(k)``.  Partial intersections are thinned
@@ -557,16 +557,8 @@ def countable_set_intersection(sets: Callable[[int], MeasurableSet] | Sequence[M
     through the summable limit; returns the intersection together with the
     exact reported lower bound ``1 - sum defects``.
     """
-    if not callable(sets):
-        seq_sets = list(sets)
-
-        def set_fn(n: int) -> MeasurableSet:
-            return seq_sets[n]
-    else:
-        set_fn = sets
-
     def meet(n: int) -> Summable:
-        chars = [set_fn(i).characteristic for i in range(n + 1)]
+        chars = [sets(i).characteristic for i in range(n + 1)]
         return summable_min(chars, name=f"{name}[0..{n}]")
 
     partial = Memo(meet)

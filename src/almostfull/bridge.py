@@ -23,14 +23,13 @@ from threading import RLock
 from typing import Callable
 
 from .aefunc import (AEFunction, MeasurableSet, Summable, certify_l1_gap,
-                     char_of_interval_union, limit_of_summables,
-                     piecewise_constant, point_in_positive_set)
+                     char_of_interval_union, limit_of_summables, piecewise_constant)
 from .errors import BudgetExhausted, CertificationError
 from .exact import CReal, Memo, clamp01, pow2, rat_approx, to_ratstr
 from .polygonal import (IntervalUnion, Plateaus, Polygonal, StepPolygonal,
-                        indicator_approx, l1_bound, step_function, sublevel)
+                        l1_bound, step_function, sublevel, union_indicator)
 from .regular import (DomainWitness, RegularSeq, intersect_pair,
-                      point_avoiding_seq, realize_point, row_witness)
+                      point_avoiding_seq, realize_point)
 
 ZERO = Fraction(0)
 TWO_THIRDS = Fraction(2, 3)
@@ -161,7 +160,7 @@ class Bridge:
         gammas = self._gamma_unions = Memo(gamma_union)
         plans = self._plans = Memo(lambda key: _level_plan(gammas, *key))
         self._zeta = Memo(
-            lambda key: _sample_in(plans, gammas, own.domain, *key, THIRD, "cell")[0])
+            lambda key: _sample_in(plans, gammas, own.domain, *key, THIRD)[0])
         # Only a live bridge builds a net: its cells ask the bridge's zeta
         # through a weak proxy.
         me = weakref.proxy(self)
@@ -229,8 +228,9 @@ class Bridge:
 
         Cells passing ``theta`` sample a third into their plan piece; others
         a third into the cell.  Where the domain has no profile there, a
-        point is realized by bisection instead.  Points asked for here are
-        kept; net builds recompute the same rational points and keep none.
+        point of the cell's part of the realized set is realized by
+        bisection instead.  Points asked for here are kept; net builds
+        recompute the same rational points and keep none.
         """
         return self._zeta((k, m, n))
 
@@ -251,9 +251,11 @@ class Bridge:
         exact value from one call of it, with no witness made or kept; other
         cells go through ``zeta``.  The coefficients are kept as one shared
         ``Plateaus``, and the net's function is ``piecewise_constant`` on
-        the cells, so it carries ``values_at`` too.  The net's domain avoids
-        the cell boundaries; it is built when a term or profile of it is
-        first asked for.
+        the cells, so it carries ``values_at`` too.  Term j is the step
+        profile at grid index j + s, s the bit length of mean|plateau| // 8,
+        so its gap to term j + 1, ``mean|plateau| * 2**-(j+s+3)``, is below
+        2**-j.  The net's domain avoids the cell boundaries; it is built when
+        a term or profile of it is first asked for.
         """
         return self._nets(alpha)
 
@@ -365,7 +367,7 @@ class Bridge:
                 if not _off_plateau(g_grid, _point(self._plans, l, m_s, n, t)):
                     break
             wit, xi = _sample_in(self._plans, self._gamma_unions, self.f.domain,
-                                 l, m_s, n, t, "sample")
+                                 l, m_s, n, t)
             f_val = self.f.eval(wit).approx(q + 2)
             x_for_g = clamp01(xi if xi is not None else wit.x.approx(q + m_s + 8))
             g_val = g_grid.eval(x_for_g)
@@ -466,30 +468,31 @@ def _sample_grid(plans: Memo, alpha: NetIndex):
 
 
 def _sample_in(plans: Memo, gammas: Memo, domain: RegularSeq, k: int, m: int, n: int,
-               t: Fraction, name: str):
+               t: Fraction):
     """A witnessed point in a cell, and the rational point, or None for a
     realized point.
 
     Takes the point at fraction t of the cell's plan piece, or of a cell
-    failing ``theta``; it carries an exact witness where the domain has a
-    profile.  Otherwise a point of the cell's part of the realized set (of
-    the cell, when it fails ``theta``) is realized and transported to f's
-    domain.
+    failing ``theta``, with the domain's profile there as its bound.  Where
+    there is none, a point of the cell's part of the realized set (the
+    cell, when it fails ``theta``) is realized on the part's indicator
+    approximant against the domain shifted by s = 2m + 6, and the first s
+    terms' maxima join its bound.  The plan passes a cell only when its part
+    is the cell or longer than ``4**-m / 2``, so the approximant's integral
+    exceeds the ``3 * 2**-s`` that ``realize_point`` needs.
     """
     xi = _point(plans, k, m, n, t)
-    prof = domain.profile_at(xi)
-    if prof is not None:
-        return DomainWitness(x=CReal.from_rational(xi), gamma=prof.total), xi
+    gamma = domain.profile_at(xi)
+    if gamma is not None:
+        return DomainWitness(x=CReal.from_rational(xi), gamma=gamma), xi
     lo, hi = _cell_bounds(k, m)
-    if _piece(plans, k, m, n) is False:
-        shift = 2 * m + 6
-        realized = realize_point(indicator_approx((lo, hi), 0), domain.shifted(shift), shift)
-        extra = sum((domain.term(i).max_value() for i in range(shift)), ZERO)
-        return DomainWitness(x=realized.point, gamma=realized.bound + extra), None
-    union = gammas((n, _gamma_depth(m, n))).intersect_interval(lo, hi)
-    ms = char_of_interval_union(union, extra_domain=domain,
-                                name=f"{name}({k},{m},{n})")
-    return row_witness(point_in_positive_set(ms, prefix=2 * m + 8), 1), None
+    carrier = (IntervalUnion.whole() if _piece(plans, k, m, n) is False
+               else gammas((n, _gamma_depth(m, n))))
+    shift = 2 * m + 6
+    realized = realize_point(union_indicator(carrier.intersect_interval(lo, hi), 0),
+                             domain.shifted(shift), shift)
+    extra = sum((domain.term(i).max_value() for i in range(shift)), ZERO)
+    return DomainWitness(x=realized.point, gamma=realized.bound + extra), None
 
 
 def _build_net(alpha: NetIndex, plans: Memo, zeta: Callable, f: AEFunction,
@@ -514,7 +517,8 @@ def _build_net(alpha: NetIndex, plans: Memo, zeta: Callable, f: AEFunction,
     dom = _built_on_first_use(grid_domain, name=f"netdom({m})")
     base = piecewise_constant(range(1, 1 << m), 1 << m, plateaus.nums, plateaus.den, dom,
                               f"net({name},m={m})", m + 2)
-    out = Summable(base, lambda j: step_function(plateaus, m, j), name=base.name)
+    s = (plateaus.abs_total // (plateaus.den << (m + 3))).bit_length()
+    out = Summable(base, lambda j: step_function(plateaus, m, j + s), name=base.name)
     out.coefficient_sum = Fraction(plateaus.total, plateaus.den << m)
     return out
 

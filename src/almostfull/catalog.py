@@ -17,7 +17,7 @@ from .aefunc import AEFunction, Summable, char_of_interval_union, piecewise_cons
 from .bridge import Bridge, NetIndex, RiemannCertificate, bridge_for
 from .exact import CReal, HALF, Memo, ceil_log2, clamp01, pow2
 from .polygonal import IntervalUnion, Polygonal
-from .regular import DomainWitness, RegularSeq, TailProfile, point_avoiding_seq
+from .regular import DomainWitness, RegularSeq, point_avoiding_seq
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -148,9 +148,8 @@ def tents_at_center_seq(name: str = "tents-half") -> RegularSeq:
     def term(n: int) -> Polygonal:
         return Polygonal.tent(HALF, pow2(-(n + 1)), HALF)
 
-    def profile(x: Fraction) -> TailProfile:
-        total = 1 - 2 * abs(x - HALF)
-        return TailProfile(total=total, vanish_from=None)
+    def profile(x: Fraction) -> Fraction:
+        return 1 - 2 * abs(x - HALF)
 
     return RegularSeq(term, name=name, profile=profile)
 

@@ -27,26 +27,15 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class TailProfile:
-    """Exact pointwise tail information for a sequence at a fixed point.
-
-    ``total`` bounds every partial sum ``sum_{k<=m} h_k(x)``; terms with
-    ``k >= vanish_from`` are exactly zero at the point (None when unknown).
-    """
-
-    total: Fraction
-    vanish_from: Optional[int] = None
-
-
 class RegularSeq:
     """Lazy sequence of nonnegative polygonals with ``integral(h_n) < 2**-n``.
 
     Terms are generated on demand, memoized, and checked exactly at
     generation time: a violating term raises RegularityError.  Generators
     must be pure, so concurrent readers always observe identical terms.
-    ``avoids``, when known, is the finite set of points where ``profile_at``
-    is None; everywhere else the profile has a known ``vanish_from``.
+    ``profile(x)``, when given, is an exact bound for every partial sum
+    ``sum_{k<=m} h_k(x)``, or None; ``avoids``, when known, is the finite
+    set of points where ``profile_at`` is None.
     ``support(k)``, when given, covers every point where term k is nonzero
     by open intervals, without calling ``gen``, or is None when unknown: parts
     ``(nums, den, w)``, each the intervals ``(c/den - w, c/den + w)`` for c in
@@ -55,7 +44,7 @@ class RegularSeq:
     """
 
     def __init__(self, gen: Callable[[int], Polygonal], name: str = "",
-                 profile: Optional[Callable[[Fraction], Optional[TailProfile]]] = None,
+                 profile: Optional[Callable[[Fraction], Optional[Fraction]]] = None,
                  avoids: Optional[Sequence[Fraction]] = None, *,
                  support: Optional[Callable[[int], Optional[list]]] = None):
         label = name or "sequence"
@@ -116,8 +105,8 @@ class RegularSeq:
         """Geometric bound for ``sum_{k>n} integral(h_k)``; equals 2**-n."""
         return pow2(-n)
 
-    def profile_at(self, x) -> Optional[TailProfile]:
-        """Exact pointwise tail profile at x, when the sequence supports one."""
+    def profile_at(self, x) -> Optional[Fraction]:
+        """The exact bound for every partial sum at x, or None where there is none."""
         if self._profile is None:
             return None
         return self._profile(x if type(x) is Fraction else Fraction(x))
@@ -131,37 +120,26 @@ class RegularSeq:
         return [n not in off for n in nums]
 
     def shifted(self, s: int) -> "RegularSeq":
-        """The sequence ``n -> h_{n+s}``; regularity is inherited."""
+        """The sequence ``n -> h_{n+s}``; regularity is inherited, and so is
+        the profile: its partial sums are tails of the sequence's own."""
         if s < 0:
             raise ValueError("shift must be >= 0")
-
-        def profile(x):
-            p = self.profile_at(x)
-            if p is None or p.vanish_from is None:
-                return p
-            return TailProfile(total=p.total, vanish_from=max(0, p.vanish_from - s))
-
         return RegularSeq(lambda n: self.term(n + s),
                           name=f"{self.name}>>{s}" if self.name else "",
-                          profile=profile, avoids=self.avoids,
+                          profile=self._profile, avoids=self.avoids,
                           support=lambda k: self.support(k + s))
 
     @staticmethod
     def zero() -> "RegularSeq":
         z = Polygonal.constant(0)
         return RegularSeq(lambda n: z, name="zero",
-                          profile=lambda x: TailProfile(total=ZERO, vanish_from=0),
-                          avoids=(), support=lambda k: ())
+                          profile=lambda x: ZERO, avoids=(), support=lambda k: ())
 
     @staticmethod
     def from_terms(terms: Sequence[Polygonal], name: str = "") -> "RegularSeq":
         """Finitely many explicit terms padded with zeros."""
         terms = list(terms)
         z = Polygonal.constant(0)
-
-        def profile(x):
-            vals = [t.eval(x) for t in terms]
-            return TailProfile(total=sum(vals, ZERO), vanish_from=len(terms))
 
         def support(n):
             # A nonzero node is nonzero up to (not at) its neighbours.
@@ -171,7 +149,8 @@ class RegularSeq:
             return [((m.numerator,), 2 * m.denominator, w / 2) for m, w in spans]
 
         return RegularSeq(lambda n: terms[n] if n < len(terms) else z,
-                          name=name, profile=profile, support=support)
+                          name=name, profile=lambda x: sum((t.eval(x) for t in terms), ZERO),
+                          support=support)
 
 
 def serialize_prefix(seq: RegularSeq, n: int) -> str:
@@ -229,19 +208,17 @@ def point_avoiding_seq(points: Sequence, name: str = "") -> RegularSeq:
         # Point i adds 1 - d_i / width(k) while d_i < width(k).  With
         # big = b * den, d_i = |a den - b p_i| / big; for q = scale * |a den - b p_i|
         # that is q << k < big, i.e. k < n for the least n with q << n >= big,
-        # and the terms sum to (n * big - q * (2**n - 1)) / big.  All vanish
-        # from the largest n.
+        # and the terms sum to (n * big - q * (2**n - 1)) / big.
         a, b = x.numerator, x.denominator
         big = b * den
-        total = vanish = 0
+        total = 0
         for p in nums:
             q = scale * abs(a * den - b * p)
             if q == 0:
                 return None
             n = (-(-big // q) - 1).bit_length()
             total += n * big - q * ((1 << n) - 1)
-            vanish = max(vanish, n)
-        return TailProfile(total=Fraction(total, big), vanish_from=vanish)
+        return Fraction(total, big)
 
     return RegularSeq(gen, name=name or "avoid", profile=profile, avoids=tuple(pts),
                       support=lambda k: ((nums, den, Fraction(1, scale << k)),))
@@ -473,15 +450,12 @@ def intersect_countable(rows: Callable[[int], RegularSeq] | Sequence[RegularSeq]
         def profile(x):
             # Every row is read: the profile exists only where all rows have one.
             total = ZERO
-            vanish = 0
             for n in range(zero_from):
                 p = row(n).profile_at(x)
                 if p is None:
                     return None
-                total += pow2(-(2 * n + 1)) * p.total
-                if vanish is not None:
-                    vanish = None if p.vanish_from is None else max(vanish, n + p.vanish_from)
-            return TailProfile(total=total, vanish_from=vanish)
+                total += pow2(-(2 * n + 1)) * p
+            return total
 
     # Every c * h has c > 0 and h >= 0: term k is 0 where every row term is.
     return RegularSeq(gen, name=name or "intersection", profile=profile, avoids=avoids,
@@ -515,7 +489,7 @@ def geometric_decay(seq: RegularSeq, name: str = ""):
     ``g_n = ((4/3)**(2n) h_{2n} + (4/3)**(2n+1) h_{2n+1}) / 2``
     is again regular (``integral(g_n) <= (5/6)(4/9)**n <= 2**-n``), and
     ``transport(w, n)`` converts a witness for g into the exact pointwise
-    bound ``h_n(x) <= 2 * gamma * (3/4)**n``.
+    bound ``h_n(x) <= 2 * gamma * (3/4)**n``.  g declares no profile.
     """
     four_thirds = Fraction(4, 3)
 
@@ -523,22 +497,10 @@ def geometric_decay(seq: RegularSeq, name: str = ""):
         return linear_sum(((four_thirds ** (2 * n) / 2, seq.term(2 * n)),
                            (four_thirds ** (2 * n + 1) / 2, seq.term(2 * n + 1))))
 
-    def profile(x):
-        p = seq.profile_at(x)
-        if p is None:
-            return None
-        if p.vanish_from is None:
-            return None
-        k0 = (p.vanish_from + 1) // 2
-        total = ZERO
-        for n in range(k0):
-            total += gen(n).eval(x)
-        return TailProfile(total=total, vanish_from=k0)
-
     def transport(w: DomainWitness, n: int) -> Fraction:
         return decay_bound(w.gamma, n)
 
-    return RegularSeq(gen, name=name or "decay", profile=profile,
+    return RegularSeq(gen, name=name or "decay",
                       support=lambda n: _union(map(seq.support, (2 * n, 2 * n + 1)))), transport
 
 

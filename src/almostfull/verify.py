@@ -282,8 +282,9 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int, corrupt: bool = False) -> list:
+    """Run one suite; ``corrupt`` injects the bridge suite's fault, and no other."""
     if name not in SUITES:
         raise KeyError(name)
-    if name == "bridge":
-        return suite_bridge(seed, corrupt=corrupt)
-    return SUITES[name](seed)
+    if corrupt and name != "bridge":
+        raise ValueError(f"corrupt applies to the bridge suite only, not {name}")
+    return suite_bridge(seed, corrupt=True) if corrupt else SUITES[name](seed)

@@ -16,7 +16,7 @@ from almostfull import (AEFunction, CReal, CertificationError, DomainWitness,
                         limit_of_summables, point_in_positive_set,
                         point_in_pps, positive_point, pow2, rat_approx,
                         summable_min)
-from almostfull.catalog import get_entry, square_offset_summable
+from almostfull.catalog import get_entry, square_offset_summable, tents_at_center_seq
 from almostfull.errors import BudgetExhausted
 
 F = Fraction
@@ -320,6 +320,14 @@ class TestPointInPositiveSet:
         ms = char_of_interval_union(u, extra_domain=step.function.domain)
         w = point_in_positive_set(ms)
         assert ms.characteristic.eval(w).approx(3) >= F(7, 8)
+
+    def test_domain_without_profile_realizes_a_point(self):
+        # The interior candidate has no witness here, so positive_point runs.
+        ms = char_of(F(1, 4), F(3, 4), extra=RegularSeq(tents_at_center_seq().term))
+        w = point_in_positive_set(ms)
+        assert w.x.rational is None
+        assert F(1, 4) < rat_approx(w.x, 12) < F(3, 4)
+        assert abs(ms.characteristic.eval(w).approx(3) - 1) <= F(1, 8)
 
     def test_fallback_realization(self):
         ms = char_of(F(1, 3), F(2, 3))

@@ -12,15 +12,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import almostfull.bridge as bridge_module
 from almostfull import (AEFunction, Bridge, CertificationError, IntervalUnion,
-                        NetIndex, Polygonal, RiemannCertificate, Summable,
-                        bridge_for, ceil_log2, char_of_interval_union,
+                        NetIndex, Polygonal, RegularSeq, RiemannCertificate,
+                        Summable, bridge_for, ceil_log2, char_of_interval_union,
                         from_ratstr, intersect_pair, point_avoiding_seq, pow2,
                         rat_approx, witness_precision)
-from almostfull.catalog import get_bridge, get_entry
+from almostfull.bridge import _gamma_depth
+from almostfull.catalog import get_bridge, get_entry, tents_at_center_seq
 from almostfull.polygonal import StepPolygonal
+from test_polygonal import mixed_polys
 
 F = Fraction
 HALF = F(1, 2)
@@ -250,6 +253,32 @@ class TestZeta:
                 x = rat_approx(w.x, 25)
                 assert abs(x - HALF) > pow2(-24)
 
+    @pytest.mark.parametrize("domain, cells", [
+        # Every cell passes theta: its part of the realized set is the cell.
+        (tents_at_center_seq(), [(k, m, m) for m in (2, 3) for k in range(1 << m)]),
+        # The cell holding 1/3 fails theta at depth 2.
+        (point_avoiding_seq([F(1, 3)]), [(21, 6, 2)]),
+    ], ids=["tents-levels-2-3", "third-theta-fails"])
+    def test_realized_points_without_profile(self, domain, cells):
+        # Without a profile, every sample point is realized on the indicator
+        # approximant of the cell's part, and carries a verifying witness.
+        bare = RegularSeq(domain.term)
+        tent = Polygonal.tent(HALF)
+        bridge = Bridge(AEFunction(bare, lambda w: tent.eval_creal(w.x)))
+        for k, m, n in cells:
+            w = bridge.zeta(k, m, n)
+            assert w.x.rational is None
+            depth = 2 * m + 10
+            ok, _ = w.verify(bare, depth, witness_precision(bare, depth, 20))
+            assert ok, (k, m, n)
+            lo, hi = F(k, 1 << m), F(k + 1, 1 << m)
+            carrier = (bridge.gamma_union(n, _gamma_depth(m, n)) if bridge.theta(k, m, n)
+                       else IntervalUnion.whole())
+            part = carrier.intersect_interval(lo, hi)
+            # Some approximant's error interval lies inside one component.
+            assert any(a < w.x.approx(p) - pow2(-p) and w.x.approx(p) + pow2(-p) < b
+                       for p in range(4, 80) for a, b in part.ivs), (k, m, n)
+
 
 class TestNets:
     def test_constant_net(self):
@@ -284,6 +313,15 @@ class TestNets:
         net = bridge.net(NetIndex.canonical(3))
         w = bridge.zeta(6, 3, 3)
         assert abs(net.eval(w).approx(6) - 1) <= pow2(-6)
+
+    @given(mixed_polys(), st.integers(-(1 << 10), 1 << 10), st.integers(0, 4),
+           st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_integral_within_bound_at_any_scale(self, h, c, m, p):
+        # A mean |plateau| of 8 or more once broke the net's 2**-j decay chain.
+        net = Bridge(AEFunction.from_polygonal(h * c)).net(NetIndex.canonical(m))
+        net.check_prefix(p + 2)
+        assert abs(net.integral(p) - net.coefficient_sum) <= pow2(-p)
 
 
 def _profiled_function(name):

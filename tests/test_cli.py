@@ -3,12 +3,14 @@
 import argparse
 import dataclasses
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
 from almostfull import Polygonal, cli, from_ratstr, pow2
 from almostfull.cli import main
+from almostfull.verify import run_suite
 from almostfull.polygonal import StepPolygonal
 
 F = Fraction
@@ -103,6 +105,29 @@ class TestIntegrate:
         assert code == 0
         assert json.loads(out)["results"]["value"] == "1/2"
 
+    @pytest.mark.parametrize("h, exact", [
+        (Polygonal.constant(8), 8), (Polygonal.constant(100), 100),
+        (Polygonal.from_pairs([(0, 0), (1, 32)]), 16),
+    ], ids=["constant-8", "constant-100", "line-32x"])
+    def test_net_route_on_large_values(self, capsys, tmp_path, h, exact):
+        # A mean |value| of 8 or more once broke the net's own decay chain.
+        path = tmp_path / "large.json"
+        path.write_text(h.to_json())
+        code, out, _ = run(capsys, "integrate", "--function", f"poly:{path}",
+                           "--method", "riemann-net", "--precision", "4")
+        assert code == 0
+        assert abs(from_ratstr(json.loads(out)["results"]["value"]) - exact) <= pow2(-4)
+
+    def test_timings_only_on_request(self, capsys):
+        argv = ("integrate", "--function", "tent", "--precision", "8")
+        code, plain, _ = run(capsys, *argv)
+        assert code == 0 and "timings" not in json.loads(plain)
+        code, timed, _ = run(capsys, *argv, "--timings")
+        timed = json.loads(timed)
+        timings = timed.pop("timings")
+        assert code == 0 and timed == json.loads(plain)
+        assert list(timings) == ["wall_ms"] and re.fullmatch(r"\d+/1", timings["wall_ms"])
+
 
 class TestNetTable:
     def test_identity_rows(self, capsys):
@@ -137,6 +162,16 @@ class TestNetTable:
         code, _, _ = run(capsys, "net-table", "--function", "identity",
                          "--m-min", "3", "--m-max", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("c", [8, 100])
+    def test_large_constant_rows_within_bound(self, capsys, tmp_path, c):
+        path = tmp_path / f"c{c}.json"
+        path.write_text(Polygonal.constant(c).to_json())
+        code, out, _ = run(capsys, "net-table", "--function", f"poly:{path}",
+                           "--m-min", "1", "--m-max", "3", "--precision", "10")
+        assert code == 0
+        for r in json.loads(out)["results"]["rows"]:
+            assert abs(from_ratstr(r["integral"]) - c) <= pow2(-10)
 
 
 class TestVerify:
@@ -193,6 +228,11 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--suite", suite, "--corrupt-catalog")
         assert (code, out) == (2, "")
         assert err == "--corrupt-catalog applies to --suite bridge only\n"
+
+    @pytest.mark.parametrize("suite", ["regularity", "witnesses", "integrals", "routes"])
+    def test_run_suite_refuses_corrupt_outside_bridge(self, suite):
+        with pytest.raises(ValueError, match="bridge suite only"):
+            run_suite(suite, 0, corrupt=True)
 
 
 class TestMalformedInput:

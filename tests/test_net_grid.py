@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from almostfull import (AEFunction, Bridge, CReal, DomainWitness, IntervalUnion,
                         NetIndex, Polygonal, RegularSeq, RiemannCertificate,
-                        TailProfile, bridge_for, char_of_interval_union,
+                        bridge_for, char_of_interval_union,
                         intersect_pair, point_avoiding_seq, pow2, to_ratstr)
 import almostfull.bridge as bridge_module
 from almostfull.bridge import _gamma_depth
@@ -179,7 +179,7 @@ class TestProfiledPoints:
 
     def test_without_known_avoids_asks_each_point(self):
         odd = RegularSeq(lambda n: Polygonal.constant(0),
-                         profile=lambda x: None if x.denominator == 3 else TailProfile(F(0), 0))
+                         profile=lambda x: None if x.denominator == 3 else F(0))
         both = intersect_pair(odd, point_avoiding_seq([F(1, 2)]))
         assert odd.avoids is None and both.avoids is None
         assert both.profiled([1, 2, 3, 4, 5], 6) == [True, False, False, False, True]

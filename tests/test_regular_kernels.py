@@ -4,10 +4,10 @@
 intersections of ``point_avoiding_seq`` (points k/127) and for
 ``tents_at_center_seq()``, the realized point of ``point_in_pps`` to 60 bits
 and ``realize_point``'s bound, epsilon, margin and prefix; the exact
-``profile_at`` totals and ``vanish_from`` of avoidance sequences at twenty
-rationals; and one bridge realization fallback.  All eight walks there
-converge to 0, so ``tests/golden/realized-points-interior.json`` pins the
-full chain of two walks that converge to interior points.  Regenerate both
+``profile_at`` bounds of avoidance sequences at twenty rationals; and one
+bridge realization fallback.  All eight walks there converge to 0, so
+``tests/golden/realized-points-interior.json`` pins the full chain of two
+walks that converge to interior points.  Regenerate both
 with ``PYTHONPATH=src python tests/test_regular_kernels.py`` (a change that
 moves them must say so in CHANGES.md).
 
@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from almostfull import (AEFunction, Bridge, Polygonal, RegularSeq, TailProfile,
+from almostfull import (AEFunction, Bridge, Polygonal, RegularSeq,
                         intersect_countable, point_avoiding_seq, point_in_pps, pow2,
                         realize_point, to_ratstr)
 from almostfull.catalog import tents_at_center_seq
@@ -85,8 +85,7 @@ def profile_report(points) -> list:
     out = []
     for x in profile_points():
         p = seq.profile_at(x)
-        out.append([to_ratstr(x), None if p is None else
-                    [to_ratstr(p.total), p.vanish_from]])
+        out.append([to_ratstr(x), None if p is None else to_ratstr(p)])
     return out
 
 
@@ -188,14 +187,13 @@ def ref_profile(points, x):
     dist = min(dists)
     if dist == 0:
         return None
-    total, k, w = ZERO, 0, ref_width(pts, 0)
+    total, w = ZERO, ref_width(pts, 0)
     while w > dist:
         for d in dists:
             if d < w:
                 total += 1 - d / w
-        k += 1
         w = w / 2
-    return TailProfile(total=total, vanish_from=k)
+    return total
 
 
 def ref_vanishes(h, lo, hi):
@@ -336,11 +334,7 @@ class TestIntersectionProfile:
         parts = [r.profile_at(x) for r in rows]
         assert (got is None) == any(p is None for p in parts)
         if got is not None:
-            assert got.total == sum((pow2(-(2 * n + 1)) * p.total
-                                     for n, p in enumerate(parts)), ZERO)
-            vanish = [None if p.vanish_from is None else n + p.vanish_from
-                      for n, p in enumerate(parts)]
-            assert got.vanish_from == (None if None in vanish else max(vanish))
+            assert got == sum((pow2(-(2 * n + 1)) * p for n, p in enumerate(parts)), ZERO)
         if seq.avoids is not None:
             assert seq.profiled([x.numerator], x.denominator) == [got is not None]
 
