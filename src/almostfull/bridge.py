@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import compress
 from math import ceil, floor, lcm
+from operator import not_
 from threading import RLock
 from typing import Callable
 
@@ -504,10 +505,13 @@ def _build_net(alpha: NetIndex, plans: Memo, zeta: Callable, f: AEFunction,
         points, pden = _sample_grid(plans, alpha)
         exact = domain.profiled(points, pden)
         values, den = f.values_at(list(compress(points, exact)), pden)
-    rest = [rat_approx(f.eval(zeta(*cells[l])), m + 4) for l, ok in enumerate(exact) if not ok]
-    common, got, fell = lcm(den, *(v.denominator for v in rest)), iter(values), iter(rest)
-    plateaus = Plateaus.from_integers(
-        [next(got) * (common // den) if ok else int(next(fell) * common) for ok in exact], common)
+    rest = [rat_approx(f.eval(zeta(*cells[l])), m + 4)
+            for l in compress(range(len(exact)), map(not_, exact))]
+    if rest:
+        common, got, fell = lcm(den, *(v.denominator for v in rest)), iter(values), iter(rest)
+        values, den = [next(got) * (common // den) if ok else int(next(fell) * common)
+                       for ok in exact], common
+    plateaus = Plateaus.from_integers(values, den)
 
     def grid_domain() -> RegularSeq:
         avoid = point_avoiding_seq([Fraction(l, 1 << m) for l in range(1, 1 << m)],

@@ -45,7 +45,7 @@ def _load_entry(name: str):
         raise InputError(f"unknown function: {name}")
     try:
         h = Polygonal.from_json(path.read_text())
-    except (OSError, ValueError, TypeError, ZeroDivisionError) as exc:
+    except (OSError, ValueError, TypeError, ZeroDivisionError, RecursionError) as exc:
         raise InputError(f"malformed polygonal {path}: {exc}") from None
     return poly_entry(path.stem, h, f"polygonal loaded from {path}")
 

@@ -45,9 +45,14 @@ def ceil_log2(q: Fraction) -> int:
 
 
 def to_ratstr(q: Fraction) -> str:
-    """Wire format for rationals: always ``"numerator/denominator"``."""
+    """Wire format for rationals: always ``"numerator/denominator"``.  A rational
+    past the interpreter's int-to-str digit limit raises BudgetExhausted."""
     q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        digits = max(abs(q.numerator), q.denominator).bit_length() * 30103 // 100000 + 1
+        raise BudgetExhausted(f"rational of about {digits} digits is too long to print") from None
 
 
 def from_ratstr(s: str) -> Fraction:

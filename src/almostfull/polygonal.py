@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
 from math import gcd, lcm
 from operator import add, lt, mul, ne, sub
 from typing import Iterable, Sequence
@@ -117,25 +117,28 @@ class Polygonal:
         return Fraction(num, den)
 
     def values_at(self, nums: Sequence[int], den: int):
-        """Exact values at the sorted points ``nums[i] / den`` of [0, 1], in one
-        merge with the nodes: ``(out, d)``, value i being ``out[i] / d``."""
-        xs, v, xd = self._x, self._v, self._xd
-        # Value i is t / (vd * den * d) for its pair (t, d); at a node d is 1,
-        # else the width of the segment, and w is the lcm of the widths.
-        out, i, w = [], 0, 1
-        for p in nums:
-            if not 0 <= p <= den:
-                raise ValueError(f"point {Fraction(p, den)} outside [0, 1]")
-            px = p * xd
-            i = bisect_right(xs, px // den, i) - 1
-            x0 = xs[i]
-            if x0 * den == px:
-                out.append((v[i] * den, 1))
-            else:
-                x1 = xs[i + 1]
-                out.append((v[i] * (x1 * den - px) + v[i + 1] * (px - x0 * den), x1 - x0))
-                w = lcm(w, x1 - x0)
-        return [t * (w // d) for t, d in out], self._vd * den * w
+        """Exact values at the sorted points ``nums[i] / den`` of [0, 1], one
+        segment at a time: ``(out, d)``, value i being ``out[i] / d``."""
+        if nums and (nums[0] < 0 or nums[-1] > den):
+            bad = nums[0] if nums[0] < 0 else nums[bisect_right(nums, den)]
+            raise ValueError(f"point {Fraction(bad, den)} outside [0, 1]")
+        xs, v, xd, last, n = self._x, self._v, self._xd, len(self._x) - 2, len(nums)
+        # Segment i holds nums[lo] / den and the next q / den with q * xd < xs[i + 1] * den;
+        # the last one takes the rest.  w is the lcm of their widths.
+        runs, lo, w = [], 0, 1
+        while lo < n:
+            i = bisect_right(xs, nums[lo] * xd // den, 0, last + 1) - 1
+            hi = n if i == last else bisect_left(nums, -(-xs[i + 1] * den // xd), lo)
+            runs.append((i, lo, hi))
+            w = lcm(w, xs[i + 1] - xs[i])
+            lo = hi
+        # On segment i the value's numerator over vd * den * w is affine in p.
+        out = []
+        for i, lo, hi in runs:
+            x0, x1, k = xs[i], xs[i + 1], w // (xs[i + 1] - xs[i])
+            a, b = (v[i] * x1 - v[i + 1] * x0) * den * k, (v[i + 1] - v[i]) * xd * k
+            out += repeat(a, hi - lo) if b == 0 else [a + b * p for p in nums[lo:hi]]
+        return out, self._vd * den * w
 
     def _twice_area(self, i: int, j: int) -> int:
         """Twice the integral from node i to node j, as a numerator over ``xd * vd``."""
@@ -701,7 +704,9 @@ class Plateaus:
     def from_integers(cls, nums: Sequence[int], den: int) -> "Plateaus":
         """Values ``nums[l] / den``, in the canonical form the rationals give."""
         out, g = cls.__new__(cls), gcd(den, *nums)
-        out.nums, out.den = tuple(n // g for n in nums), den // g
+        if g > 1:
+            nums, den = [n // g for n in nums], den // g
+        out.nums, out.den = tuple(nums), den
         out.total, out.abs_total = sum(out.nums), sum(map(abs, out.nums))
         return out
 
@@ -813,7 +818,7 @@ def step_plateau_l1(a: StepPolygonal, b: StepPolygonal) -> Fraction:
     nb = pb.nums if sb == 1 else [n * sb for n in pb.nums]
     ratio = 1 << (b.level - a.level)
     if ratio > 1:
-        na = [n for n in na for _ in range(ratio)]
+        na = chain.from_iterable(map(repeat, na, repeat(ratio)))
     total = sum(map(abs, map(sub, na, nb)))
     return Fraction(total, (pa.den * sa) << b.level)
 

@@ -117,7 +117,7 @@ class RegularSeq:
             return [self.profile_at(Fraction(n, den)) is not None for n in nums]
         off = {a.numerator * (den // a.denominator) for a in self.avoids
                if den % a.denominator == 0}
-        return [n not in off for n in nums]
+        return [n not in off for n in nums] if off else [True] * len(nums)
 
     def shifted(self, s: int) -> "RegularSeq":
         """The sequence ``n -> h_{n+s}``; regularity is inherited, and so is

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -247,8 +248,10 @@ class TestMalformedInput:
         (RAMP, ["net-table", "--m-min", "1", "--m-max", "2",
                 "--precision", "-1"], None),
         (RAMP, ["integrate"], "abc"),
+        ("[" * 5000, ["integrate"], None),
     ], ids=["not-json", "bad-integer", "zero-denominator", "bare-numbers",
-            "negative-precision", "net-table-negative-precision", "bad-budget"])
+            "negative-precision", "net-table-negative-precision", "bad-budget",
+            "deep-nesting"])
     def test_exit_2_without_traceback(self, capsys, monkeypatch, tmp_path,
                                       poly, argv, budget):
         path = tmp_path / "shape.json"
@@ -268,6 +271,27 @@ class TestBudget:
                            "--seed", "7")
         assert code == 4
         assert "budget" in err.lower()
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int-to-str digit limit")
+    @pytest.mark.parametrize("p, expected_code", [(14000, 0), (14400, 4)])
+    def test_report_past_the_digit_limit_exit_4(self, capsys, p, expected_code):
+        # 2**-14400 has 4,335 digits, past the default limit of 4,300.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run(capsys, "integrate", "--function", "char-upper-half",
+                                 "--precision", str(p))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == expected_code
+        assert "Traceback" not in err
+        if code == 0:
+            report = json.loads(out)
+            assert report["error_bounds"]["value"] == f"1/{1 << p}"
+            assert abs(from_ratstr(report["results"]["value"]) - F(1, 2)) <= pow2(-p)
+        else:
+            assert out == "" and "4336 digits" in err
 
 
 class TestDeterminism:

@@ -29,6 +29,10 @@ CASES = [
                                    "--method", "riemann-net", "--precision", "4"], 0),
     ("integrate-three-piece-net-p5", ["integrate", "--function", "three-piece",
                                       "--method", "riemann-net", "--precision", "5"], 0),
+    ("integrate-identity-net-p12", ["integrate", "--function", "identity",
+                                    "--method", "riemann-net", "--precision", "12"], 0),
+    ("integrate-three-piece-net-p10", ["integrate", "--function", "three-piece",
+                                       "--method", "riemann-net", "--precision", "10"], 0),
     ("integrate-poly-net-p5", ["integrate", "--function", BUMP, "--method",
                                "riemann-net", "--precision", "5"], 0),
     ("integrate-poly-csv", ["integrate", "--function", BUMP,

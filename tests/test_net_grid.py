@@ -241,5 +241,56 @@ class TestIntegerGrid:
         assert (plateaus.nums, plateaus.den) == (Plateaus(expected).nums, Plateaus(expected).den)
 
 
+@st.composite
+def flat_polygonals(draw):
+    """Polygonals over mixed denominators whose values repeat, so some segments are flat."""
+    dens = draw(st.lists(st.sampled_from((3, 5, 8, 96, 97)), min_size=1, max_size=6))
+    xs = sorted({F(draw(st.integers(1, d - 1)), d) for d in dens} | {F(0), F(1)})
+    levels = draw(st.lists(st.sampled_from((F(0), F(1), F(-3, 4), F(7, 5))),
+                           min_size=len(xs), max_size=len(xs)))
+    return Polygonal(xs, levels)
+
+
+def check_sweep(h: Polygonal, points: list):
+    nums, den = over_one_denominator(points) if points else ([], 1)
+    out, d = h.values_at(nums, den)
+    assert [F(v, d) for v in out] == [segment_value(h, x) for x in points]
+
+
+class TestSegmentSweep:
+    """``Polygonal.values_at`` takes the points one segment at a time."""
+
+    @given(flat_polygonals(), st.integers(0, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_full_uniform_grid(self, h, m):
+        check_sweep(h, [F(3 * k + 1, 3 << m) for k in range(1 << m)])
+
+    @given(flat_polygonals(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_nodes_and_endpoints(self, h, data):
+        nodes = data.draw(st.lists(st.sampled_from(h.xs), unique=True).map(sorted))
+        check_sweep(h, nodes)
+        check_sweep(h, sorted(set(nodes) | {F(0), F(1)}))
+        check_sweep(h, sorted(set(data.draw(grid_points(h.xs))) | {F(0), F(1)}))
+
+    @given(flat_polygonals(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_batches_that_skip_segments(self, h, data):
+        # Points from every other segment only, the segments' ends left out.
+        segments = list(zip(h.xs, h.xs[1:]))[data.draw(st.integers(0, 1))::2]
+        fractions = data.draw(st.lists(st.sampled_from((F(1, 3), F(1, 2), F(5, 7))),
+                                       min_size=1, max_size=3, unique=True))
+        check_sweep(h, sorted(a + t * (b - a) for a, b in segments for t in fractions))
+
+    def test_empty_batch(self):
+        assert Polygonal.from_pairs([(0, 1), (F(1, 3), 2), (1, 0)]).values_at([], 12)[0] == []
+
+    @pytest.mark.parametrize("nums", [[-1, 0, 5], [0, 5, 13], [-2, 13]])
+    def test_points_outside_the_interval_raise(self, nums):
+        h = Polygonal.from_pairs([(0, 1), (F(1, 3), 2), (1, 0)])
+        with pytest.raises(ValueError, match="outside"):
+            h.values_at(nums, 12)
+
+
 if __name__ == "__main__":
     BUMP_NETS.write_text(bump_golden_text())
